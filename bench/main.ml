@@ -574,7 +574,9 @@ let faults_bench () =
    and never acts.  Warm ticks rebuild only the wanderers' partition —
    the statics' structures revalidate through the delta summary — while
    cold ticks rebuild everything.  Every unit owns its own grid row, so
-   movement never collides and ticks stay non-structural. *)
+   movement never collides and ticks stay non-structural.  The scouts'
+   guard is [c > 0]: the interval prover decides [c >= 0] (a count is
+   never negative) and would compile the aggregate away. *)
 let incremental_schema () =
   Schema.create
     [
@@ -601,7 +603,7 @@ action Drift(u) { on self { movevect_x <- 1; } }
 
 script scout(u) {
   let c = NearOthers(u);
-  if c >= 0 then { perform Mark(u); }
+  if c > 0 then { perform Mark(u); }
 }
 script wanderer(u) { perform Drift(u); }
 |}
@@ -1076,8 +1078,8 @@ let fused_units schema ~n =
           Value.Float 0.;
         ])
 
-let fused_sim ?(columnar = true) ~(index_cache : bool)
-    ~(evaluator : Simulation.evaluator_kind) ~(n : int) () : Simulation.t =
+let fused_sim ~(index_cache : bool) ~(evaluator : Simulation.evaluator_kind) ~(n : int) () :
+    Simulation.t =
   let schema = fused_schema () in
   let prog = compile ~schema fused_source in
   let config =
@@ -1103,7 +1105,7 @@ let fused_sim ?(columnar = true) ~(index_cache : bool)
       optimize = true;
     }
   in
-  Simulation.create ~index_cache ~columnar config ~evaluator ~units:(fused_units schema ~n)
+  Simulation.create ~index_cache config ~evaluator ~units:(fused_units schema ~n)
 
 (* Decision-phase seconds per tick from the engine's phase timer, one
    warm-up tick outside the clock (compilation, kernel specialization). *)
@@ -1169,80 +1171,6 @@ let fused_bench ~full () =
   pr " no plan walk, no per-evaluation context, constant subtrees folded@.";
   pr " at specialization time.  Index-probe-bound workloads gain less -@.";
   pr " probes cost the same under every backend.)@."
-
-(* ------------------------------------------------------------------ *)
-(* Columnar store: the struct-of-arrays access path vs boxed rows.
-
-   The full battle scenario — real kd/segment/cascade index builds every
-   tick — run with the columnar mirror handed to the decision phase
-   ("columnar") and withheld ("boxed", [~columnar:false] — the
-   pre-columnar access path: every read boxes a [Value.t] out of a
-   tuple).  Storage and results are identical either way; only the
-   access path changes. *)
-
-let columnar_run ~columnar ~evaluator ~n ~ticks : float * float =
-  let scenario =
-    Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-  in
-  let sim = Battle.Scenario.simulation ~columnar ~evaluator scenario in
-  Simulation.step sim;
-  let r0 = Simulation.report sim in
-  Simulation.run sim ~ticks;
-  let r = Simulation.report sim in
-  ( (r.Simulation.decision_s -. r0.Simulation.decision_s) /. float_of_int ticks,
-    (r.Simulation.build_s -. r0.Simulation.build_s) /. float_of_int ticks )
-
-let columnar_bench ~full () =
-  header "Columnar store - struct-of-arrays access path vs boxed rows";
-  pr "(one warm-up tick outside the clock; decision_s includes build_s.@.";
-  pr " The two access paths are pinned bit-identical by the conformance@.";
-  pr " and engine suites; only the time changes.)@.@.";
-  let sizes = [ 12_000; 100_000 ] in
-  let evaluators ~n =
-    (* the naive evaluator is O(n^2) per tick on this scenario and ignores
-       the mirror anyway; measured at 12k to document the ~1x, skipped at
-       100k (it would dominate the wall clock without informing anything) *)
-    (if n <= 12_000 then [ ("naive", Simulation.Naive) ] else [])
-    @ [
-        ("indexed", Simulation.Indexed);
-        ("parallel:2", Simulation.Parallel { domains = 2 });
-        ("fused", Simulation.Fused);
-      ]
-  in
-  pr "%8s %12s %14s %14s %9s %14s %14s@." "units" "evaluator" "boxed (s/t)" "columnar (s/t)"
-    "gain" "boxed bld" "columnar bld";
-  List.iter
-    (fun n ->
-      let evs = evaluators ~n in
-      List.iter
-        (fun (name, evaluator) ->
-          let ticks =
-            if name = "naive" then 1 else if n >= 100_000 then (if full then 3 else 2) else 5
-          in
-          let measure columnar =
-            let d, b = columnar_run ~columnar ~evaluator ~n ~ticks in
-            Bench_json.emit ~section:"columnar"
-              ~config:
-                [
-                  ("evaluator", name);
-                  ("units", string_of_int n);
-                  ("access", if columnar then "columnar" else "boxed");
-                ]
-              ~ticks_per_s:(1. /. d)
-              ~phases:[ ("decision_s", d); ("build_s", b) ];
-            (d, b)
-          in
-          let bd, bb = measure false in
-          let cd, cb = measure true in
-          pr "%8d %12s %14.4f %14.4f %8.2fx %14.4f %14.4f@." n name bd cd (bd /. cd) bb cb)
-        evs;
-      if n > 12_000 then pr "%8d %12s %s@." n "naive" "(skipped: O(n^2) per tick)")
-    sizes;
-  pr "@.(the gain is boxing removed from the hot loops: index builds scan@.";
-  pr " contiguous float arrays instead of pulling Value.t out of every@.";
-  pr " tuple, and fused kernels load bind operands straight from the@.";
-  pr " typed columns.  The naive evaluator takes no columnar path, so@.";
-  pr " its ratio documents measurement noise.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Durable state: checkpoint/journal overhead on the 12k-unit battle.
@@ -1369,7 +1297,6 @@ let everything ~full () =
   parallel_scaling ~full ();
   incremental ~full ();
   fused_bench ~full ();
-  columnar_bench ~full ();
   faults_bench ();
   telemetry_bench ();
   obs_bench ();
@@ -1415,8 +1342,6 @@ let () =
             | "incremental-full" -> incremental ~full:true ()
             | "fused" -> fused_bench ~full:false ()
             | "fused-full" -> fused_bench ~full:true ()
-            | "columnar" -> columnar_bench ~full:false ()
-            | "columnar-full" -> columnar_bench ~full:true ()
             | "faults" -> faults_bench ()
             | "telemetry" -> telemetry_bench ()
             | "obs" -> obs_bench ()

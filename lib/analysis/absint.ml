@@ -283,21 +283,31 @@ let contains0 a = axis_has_num a && a.lo <= 0. && 0. <= a.hi
 let has_inf a = axis_has_num a && (a.lo = neg_infinity || a.hi = infinity)
 
 (* Corner evaluation for a weakly monotone rounded op.  Corners producing
-   nan set the nan flag; operand nan always propagates. *)
+   nan set the nan flag; operand nan always propagates.  An indeterminate
+   corner (0 * inf, inf / inf) is also the limit of finite points of the
+   box whose results approach zero, so it contributes both zeros; its
+   infinite limits are other corners.  Zero corners of both signs keep
+   -0. as the lower and 0. as the upper bound, so the result is a
+   singleton only when every corner has the same bits. *)
 let corners2 (f : float -> float -> float) a b =
   if not (axis_has_num a && axis_has_num b) then { empty_axis with nan = a.nan || b.nan }
   else begin
     let lo = ref infinity and hi = ref neg_infinity and nan = ref (a.nan || b.nan) in
+    let add v =
+      if v < !lo || (v = !lo && Float.sign_bit v) then lo := v;
+      if v > !hi || (v = !hi && not (Float.sign_bit v)) then hi := v
+    in
     List.iter
       (fun x ->
         List.iter
           (fun y ->
             let v = f x y in
-            if Float.is_nan v then nan := true
-            else begin
-              if v < !lo then lo := v;
-              if v > !hi then hi := v
-            end)
+            if Float.is_nan v then begin
+              nan := true;
+              add (-0.);
+              add 0.
+            end
+            else add v)
           [ b.lo; b.hi ])
       [ a.lo; a.hi ];
     { lo = !lo; hi = !hi; nan = !nan }
@@ -322,7 +332,7 @@ let fneg a = if not (axis_has_num a) then a else { lo = -.a.hi; hi = -.a.lo; nan
 
 let fabs a =
   if not (axis_has_num a) then a
-  else if a.lo >= 0. then a
+  else if a.lo >= 0. then { a with lo = Float.abs a.lo; hi = Float.abs a.hi } (* -0. -> 0. *)
   else if a.hi <= 0. then { lo = -.a.hi; hi = -.a.lo; nan = a.nan }
   else { lo = 0.; hi = Float.max (-.a.lo) a.hi; nan = a.nan }
 
@@ -331,7 +341,7 @@ let fsqrt a =
   else
     let nan = a.nan || a.lo < 0. in
     if a.hi < 0. then { empty_axis with nan }
-    else { lo = sqrt (Float.max 0. a.lo); hi = sqrt a.hi; nan }
+    else { lo = (if a.lo < 0. then -0. else sqrt a.lo); hi = sqrt a.hi; nan } (* sqrt -0. = -0. *)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract expression evaluation *)
@@ -512,7 +522,13 @@ let abs_binop ~raise_alarm (op : Expr.binop) ~(square : bool) (va : t) (vb : t) 
         let k = num_view vb in
         let mz = contains0 k in
         if k.lo = 0. && k.hi = 0. && not k.nan then (None, true)
-        else (Some (fdiv x k, fdiv y k), mz)
+        else if mz then (Some (full_axis, full_axis), mz)
+        else
+          (* Replay [Value.div]'s operation order, [Vec2.scale (1. /. k)]:
+             (1. /. k) *. x can round differently from x /. k, and a
+             singleton must fold to the bits evaluation produces. *)
+          let r = fdiv { lo = 1.; hi = 1.; nan = false } k in
+          (Some (fmul r x, fmul r y), mz)
       | _ -> (None, false)
     in
     if has_vec va && has_num vb && vec_zero then raise_alarm Div_by_zero;
@@ -558,6 +574,17 @@ let abs_cmp (op : Expr.cmpop) (va : t) (vb : t) : t * bool =
       (bool_abs mt mf, err)
     end
     else (bot, true)
+
+(* A min/max result is one operand, picked by [Value.compare_num], which
+   ties -0. with 0.: widen zero bounds to both signs so [singleton] never
+   folds a zero whose sign depends on which operand was picked. *)
+let signless_zeros (d : t) : t =
+  let widen a =
+    if not (axis_has_num a) then a
+    else
+      { a with lo = (if a.lo = 0. then -0. else a.lo); hi = (if a.hi = 0. then 0. else a.hi) }
+  in
+  { d with floats = Option.map widen d.floats }
 
 let rec eval ?(alarm : (alarm -> unit) option) (ctx : ctx) (expr : Expr.t) : t * bool =
   let ev e = eval ?alarm ctx e in
@@ -652,7 +679,7 @@ let rec eval ?(alarm : (alarm -> unit) option) (ctx : ctx) (expr : Expr.t) : t *
       (* The result is one operand; nan is below all numbers, so even a
          nan pick respects the numeric cap min(hi_a, hi_b). *)
       let j = clamp_hi j (Float.min (num_view va).hi (num_view vb).hi) in
-      (j, err)
+      (signless_zeros j, err)
     end
     else (bot, true)
   | Expr.MaxOf (a, b) ->
@@ -668,7 +695,7 @@ let rec eval ?(alarm : (alarm -> unit) option) (ctx : ctx) (expr : Expr.t) : t *
         if may_nan va || may_nan vb then j
         else clamp_lo j (Float.max (num_view va).lo (num_view vb).lo)
       in
-      (j, err)
+      (signless_zeros j, err)
     end
     else (bot, true)
   | Expr.Random a ->

@@ -63,14 +63,6 @@ let demotion = function
   | Indexed -> Some Naive
   | Naive -> None
 
-(* The engine behind a simulation: one evaluator driven sequentially, a
-   family of evaluators fanned out over a shared domain pool, or one
-   evaluator driven through the fused kernels. *)
-type engine =
-  | Seq of Eval.t
-  | Par of { pool : Domain_pool.t; family : Eval.family }
-  | Fus of { evaluator : Eval.t; kernels : Exec.fused }
-
 (* Global mirror in the ambient registry (gated, off by default) so
    --metrics output carries rollbacks next to the evaluator counters; the
    per-simulation registry below is the report's source of truth. *)
@@ -137,7 +129,7 @@ type tick_sample = {
 type t = {
   config : config;
   compiled : Exec.compiled;
-  mutable engine : engine; (* replaced when [Degrade] demotes *)
+  mutable engine : Exec.engine; (* replaced when [Degrade] demotes *)
   mutable evaluator : evaluator_kind;
   policy : fault_policy;
   prng : Prng.t;
@@ -150,7 +142,6 @@ type t = {
      never refreshes it, so after rollback it still mirrors the restored
      unit array. *)
   store : Colstore.t;
-  columnar : bool; (* hand the mirror to the decision phase as an access path *)
   index_cache : bool; (* hand deltas to the evaluator across ticks *)
   (* What the last committed tick changed, relative to the unit array its
      decision phase saw.  Consumed by the next tick's [begin_tick]/
@@ -193,17 +184,17 @@ type t = {
 }
 
 let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    ~(compiled : Exec.compiled) (evaluator : evaluator_kind) : engine =
+    ~(compiled : Exec.compiled) (evaluator : evaluator_kind) : Exec.engine =
   match evaluator with
-  | Naive -> Seq (Eval.naive ~schema ~aggregates)
-  | Indexed -> Seq (Eval.indexed ~schema ~aggregates ())
+  | Naive -> Exec.Seq (Eval.naive ~schema ~aggregates)
+  | Indexed -> Exec.Seq (Eval.indexed ~schema ~aggregates ())
   | Parallel { domains } ->
     (* Pools are shared process-wide by size: repeated simulations reuse
        the same worker domains instead of exhausting the runtime's
        domain budget. *)
     let pool = Domain_pool.shared ~domains in
     let family = Eval.indexed_family ~schema ~aggregates ~chunks:(Domain_pool.size pool) () in
-    Par { pool; family }
+    Exec.Par { pool; family }
   | Fused ->
     (* Kernels specialize the plans, not the evaluator: the indexed
        evaluator underneath still owns aggregate evaluation, AoE
@@ -212,15 +203,14 @@ let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
        stay correct on stores that violate the declared contracts), so it
        only discharges expressions that are constant on *every* store. *)
     let oracle = Sgl_analysis.Absint.make_oracle compiled.Exec.prog in
-    Fus
+    Exec.Fus
       {
         evaluator = Eval.indexed ~schema ~aggregates ();
         kernels = Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled;
       }
 
 let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = true)
-    ?(columnar = true) (config : config) ~(evaluator : evaluator_kind)
-    ~(units : Tuple.t array) : t =
+    (config : config) ~(evaluator : evaluator_kind) ~(units : Tuple.t array) : t =
   let schema = config.prog.Core_ir.schema in
   let aggregates = config.prog.Core_ir.aggregates in
   let tel = Telemetry.Registry.create ~enabled:true () in
@@ -242,7 +232,6 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     units = Array.map Tuple.copy units;
     (* decomposed into columns at build time; shares nothing with [units] *)
     store = Colstore.of_tuples schema units;
-    columnar;
     index_cache;
     pending_delta = None;
     digest_cache = None;
@@ -306,9 +295,8 @@ let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
   dst.Eval.build_seconds <- dst.Eval.build_seconds +. src.Eval.build_seconds
 
 let engine_stats = function
-  | Seq evaluator -> evaluator.Eval.stats
-  | Par { family; _ } -> Eval.family_stats family
-  | Fus { evaluator; _ } -> evaluator.Eval.stats
+  | Exec.Seq evaluator | Exec.Fus { evaluator; _ } -> evaluator.Eval.stats
+  | Exec.Par { family; _ } -> Eval.family_stats family
 
 let quarantine (t : t) (gf : Exec.group_fault) : unit =
   if not (List.mem gf.Exec.gf_script t.quarantined) then
@@ -455,45 +443,23 @@ let run_phases (t : t) : unit =
      after a half-applied refresh it may not cover the array, in which
      case the tick simply runs on boxed reads. *)
   let cols =
-    if
-      t.columnar
-      && Colstore.length t.store = Array.length t.units
-      && Colstore.rectangular t.store
-    then Some t.store
+    if Colstore.length t.store = Array.length t.units && Colstore.rectangular t.store then
+      Some t.store
     else None
   in
-  (* decision + action *)
+  (* decision + action; under [Quarantine_script] every group runs
+     isolated, so a failing one contributes an empty effect bag this tick
+     and is excluded from future ones *)
   t.phase <- Fault.Decision;
   let acc =
     Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
     Timer.record t.timings.decision (fun () ->
-        match (t.policy, t.engine) with
-        | (Fail | Degrade), Seq evaluator ->
-          Exec.run_tick ?delta:delta_in ?cols t.compiled ~evaluator ~units:t.units
-            ~groups:(groups t) ~rand_for
-        | (Fail | Degrade), Par { pool; family } ->
-          Exec.run_tick_parallel ?delta:delta_in ?cols t.compiled ~pool ~family ~units:t.units
-            ~groups:(groups t) ~rand_for
-        | (Fail | Degrade), Fus { evaluator; kernels } ->
-          Exec.run_tick_fused ?delta:delta_in ?cols t.compiled ~fused:kernels ~evaluator
-            ~units:t.units ~groups:(groups t) ~rand_for
-        | Quarantine_script, engine ->
-          (* per-group guards: a failing group contributes an empty effect
-             bag this tick and is excluded from future ones *)
-          let acc, faults =
-            match engine with
-            | Seq evaluator ->
-              Exec.run_tick_guarded ?delta:delta_in ?cols t.compiled ~evaluator ~units:t.units
-                ~groups:(groups t) ~rand_for
-            | Par { pool; family } ->
-              Exec.run_tick_parallel_guarded ?delta:delta_in ?cols t.compiled ~pool ~family
-                ~units:t.units ~groups:(groups t) ~rand_for
-            | Fus { evaluator; kernels } ->
-              Exec.run_tick_fused_guarded ?delta:delta_in ?cols t.compiled ~fused:kernels
-                ~evaluator ~units:t.units ~groups:(groups t) ~rand_for
-          in
-          List.iter (quarantine t) faults;
-          acc)
+        let acc, faults =
+          Exec.execute ?delta:delta_in ?cols t.compiled t.engine
+            ~isolate:(t.policy = Quarantine_script) ~units:t.units ~groups:(groups t) ~rand_for
+        in
+        List.iter (quarantine t) faults;
+        acc)
   in
   (* post-processing *)
   t.phase <- Fault.Post;
@@ -664,8 +630,8 @@ let step (t : t) : unit =
       let bt = Printexc.get_raw_backtrace () in
       let suppressed =
         match t.engine with
-        | Par { pool; _ } -> Domain_pool.suppressed_failures pool
-        | Seq _ | Fus _ -> 0
+        | Exec.Par { pool; _ } -> Domain_pool.suppressed_failures pool
+        | Exec.Seq _ | Exec.Fus _ -> 0
       in
       let fault =
         Fault.make ~tick:t.tick ~phase:t.phase ~evaluator:(evaluator_name t.evaluator)

@@ -6,7 +6,7 @@
      sections: META | SCHM | UNIT-or-COLU | QUAR | CNTR | DEGR | END!
      (each: 4-byte tag | u32 len | payload | u32 crc(payload))
 
-   Version 2 (written by this build) stores the unit array columnar: a
+   Version 2 (written by this build) stores the unit array column-major: a
    COLU section holding one typed column per schema attribute — bulk
    little-endian blits for int/float/bool columns, boxed values only for
    mixed-tag or vec columns (the same promotion rules as the in-memory

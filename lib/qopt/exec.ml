@@ -139,82 +139,6 @@ let key_table (schema : Schema.t) (units : Tuple.t array) : int -> Tuple.t optio
   Array.iter (fun row -> Hashtbl.replace table (Tuple.key schema row) row) units;
   fun k -> Hashtbl.find_opt table k
 
-(* One group's decision+action work: materialize the members' working rows
-   and random streams, then run the group's plan into [acc]. *)
-let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
-    ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
-    ~(rand_for : key:int -> int -> int) (g : group) : unit =
-  Sgl_util.Fault_inject.hit "exec.group";
-  Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
-  match find_plan c g.script with
-  | None -> raise (Exec_error (Fmt.str "no plan for script %S" g.script))
-  | Some plan ->
-    let body () =
-      let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
-      let rands =
-        Array.map
-          (fun i ->
-            let key = Tuple.key schema units.(i) in
-            rand_for ~key)
-          g.members
-      in
-      run_plan ~schema ~evaluator ~find_key ~acc ~plan ~rows ~rands
-    in
-    if Sgl_util.Telemetry.Span.enabled () then
-      Sgl_util.Telemetry.Span.with_ ~cat:"exec" ("group:" ^ g.script) body
-    else body ()
-
-(* Run a full decision+action pass: each group's script over its members.
-   Returns the combined effects of the tick, ready for post-processing.
-   [delta] (what changed since the previous tick's unit array) is passed
-   straight to the evaluator, which may use it to keep cached index
-   structures warm; omitting it only costs rebuilds, never correctness. *)
-let run_tick ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
-    ~(groups : group list) ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
-  let acc = Combine.Acc.create schema in
-  List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
-  acc
-
-(* The parallel decision phase.  The unit array is cut into
-   [Array.length family.members] contiguous chunks; chunk [k] evaluates
-   the intersection of every group with its range on lane [k mod lanes],
-   probing the read-only snapshot [family.prepare] just published.  Each
-   chunk accumulates into a private [Combine.Acc]; the per-chunk bags are
-   folded left-to-right with the accumulator-level (+), whose
-   associativity and commutativity make the merged result independent of
-   how units were chunked — so any chunk count, including 1, reproduces
-   the sequential tick bit-for-bit on integral workloads. *)
-let run_tick_parallel ?delta ?cols (c : compiled) ~(pool : Sgl_util.Domain_pool.t)
-    ~(family : Eval.family) ~(units : Tuple.t array) ~(groups : group list)
-    ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table schema units in
-  let chunks = Array.length family.Eval.members in
-  let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
-  let run_chunk k =
-    let lo, hi = ranges.(k) in
-    let evaluator = family.Eval.members.(k) in
-    let acc = Combine.Acc.create schema in
-    List.iter
-      (fun g ->
-        (* Group membership need not be sorted: filter, don't slice. *)
-        let mine = Array.of_list (List.filter (fun i -> lo <= i && i < hi)
-                                    (Array.to_list g.members)) in
-        if Array.length mine > 0 then
-          run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for
-            { g with members = mine })
-      groups;
-    acc
-  in
-  let accs = Sgl_util.Domain_pool.parallel_map pool run_chunk (Array.init chunks (fun k -> k)) in
-  let out = Combine.Acc.create schema in
-  Array.iter (fun acc -> Combine.Acc.merge_into ~dst:out acc) accs;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Fused execution: the same ticks, driven by specialized kernels.
 
@@ -236,59 +160,15 @@ let fuse ?(fold = fun (_ : string) (_ : Expr.t) -> None) (c : compiled) : fused 
       (name, Loop_ir.Compile.compile ~fold:(fold name) ~schema (Loop_ir.Lower.lower plan)))
     c.plans
 
-(* Mirrors [run_group]: the ["exec.group"] injection point fires first and
-   with the same call count as under interpreted execution, so an
-   [At_count] fault quarantines the same script whichever backend runs the
-   tick; ["fused.kernel"] fires only on this path. *)
-let run_group_fused ?cols (c : compiled) ~(schema : Schema.t) ~(fused : fused)
-    ~(evaluator : Eval.t) ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t)
-    ~(units : Tuple.t array) ~(rand_for : key:int -> int -> int) (g : group) : unit =
-  Sgl_util.Fault_inject.hit "exec.group";
-  Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
-  match List.assoc_opt g.script fused with
-  | None -> raise (Exec_error (Fmt.str "no fused kernel for script %S" g.script))
-  | Some kernel ->
-    let body () =
-      Sgl_util.Fault_inject.hit "fused.kernel";
-      Sgl_util.Telemetry.Counter.add tel_fused_kernels 1;
-      Sgl_util.Telemetry.Counter.add tel_fused_rows (Array.length g.members);
-      let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
-      let rands =
-        Array.map
-          (fun i ->
-            let key = Tuple.key schema units.(i) in
-            rand_for ~key)
-          g.members
-      in
-      kernel
-        { Loop_ir.Compile.evaluator; find_key; acc; cols; ids = g.members }
-        ~rows ~rands
-    in
-    if Sgl_util.Telemetry.Span.enabled () then
-      Sgl_util.Telemetry.Span.with_ ~cat:"exec" ("kernel:" ^ g.script) body
-    else body ()
-
-let run_tick_fused ?delta ?cols (c : compiled) ~(fused : fused) ~(evaluator : Eval.t)
-    ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
-  let acc = Combine.Acc.create schema in
-  List.iter
-    (run_group_fused ?cols c ~schema ~fused ~evaluator ~find_key ~acc ~units ~rand_for)
-    groups;
-  acc
-
 (* ------------------------------------------------------------------ *)
-(* Guarded (quarantine-mode) execution.
+(* The executor.  Every tick, whatever the backend or fault policy, runs
+   through [execute]: a per-group body (plan walk or fused kernel) driven
+   over one or more lanes, optionally with each group isolated. *)
 
-   Each group accumulates into a *private* effect bag merged into the
-   tick's accumulator only when the whole group succeeds, so a group that
-   raises mid-plan contributes nothing at all — the per-group transactional
-   discipline behind the [Quarantine_script] fault policy.  Because bags
-   merge through the combination operator (+), a fault-free guarded tick is
-   bit-identical to the unguarded one on integral workloads. *)
+type engine =
+  | Seq of Eval.t
+  | Par of { pool : Sgl_util.Domain_pool.t; family : Eval.family }
+  | Fus of { evaluator : Eval.t; kernels : fused }
 
 type group_fault = {
   gf_script : string;
@@ -297,117 +177,173 @@ type group_fault = {
   gf_suppressed : int; (* further failures of the same group on other chunks *)
 }
 
-let run_tick_guarded ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
-    ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t * group_fault list =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  List.iter
-    (fun g ->
-      let gacc = Combine.Acc.create schema in
-      match run_group c ~schema ~evaluator ~find_key ~acc:gacc ~units ~rand_for g with
-      | () -> Combine.Acc.merge_into ~dst:acc gacc
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt; gf_suppressed = 0 } :: !faults)
-    groups;
-  (acc, List.rev !faults)
+(* One group's decision+action work.  The prologue is shared by both
+   bodies: the ["exec.group"] injection point fires first and with the
+   same call count whichever backend runs the tick (so an [At_count] fault
+   quarantines the same script everywhere), then the members' working rows
+   and random streams are materialized and the body runs into [acc].
+   ["fused.kernel"] fires only on the kernel body. *)
+let run_group (c : compiled) ~(kernels : fused option) ~(schema : Schema.t)
+    ~(cols : Colstore.t option) ~(evaluator : Eval.t) ~(find_key : int -> Tuple.t option)
+    ~(acc : Combine.Acc.t) ~(units : Tuple.t array) ~(rand_for : key:int -> int -> int)
+    (g : group) : unit =
+  Sgl_util.Fault_inject.hit "exec.group";
+  Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
+  let span, run =
+    match kernels with
+    | None -> (
+      match find_plan c g.script with
+      | None -> raise (Exec_error (Fmt.str "no plan for script %S" g.script))
+      | Some plan ->
+        ( "group:",
+          fun ~rows ~rands -> run_plan ~schema ~evaluator ~find_key ~acc ~plan ~rows ~rands ))
+    | Some fused -> (
+      match List.assoc_opt g.script fused with
+      | None -> raise (Exec_error (Fmt.str "no fused kernel for script %S" g.script))
+      | Some kernel ->
+        ( "kernel:",
+          fun ~rows ~rands ->
+            Sgl_util.Fault_inject.hit "fused.kernel";
+            Sgl_util.Telemetry.Counter.add tel_fused_kernels 1;
+            Sgl_util.Telemetry.Counter.add tel_fused_rows (Array.length g.members);
+            kernel
+              { Loop_ir.Compile.evaluator; find_key; acc; cols; ids = g.members }
+              ~rows ~rands ))
+  in
+  let body () =
+    let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
+    let rands = Array.map (fun i -> rand_for ~key:(Tuple.key schema units.(i))) g.members in
+    run ~rows ~rands
+  in
+  if Sgl_util.Telemetry.Span.enabled () then
+    Sgl_util.Telemetry.Span.with_ ~cat:"exec" (span ^ g.script) body
+  else body ()
 
-(* Guarded fused tick: the same per-group transactional discipline as
-   [run_tick_guarded], driving the kernels.  A raising kernel contributes
-   nothing and is reported under its script name, so [Quarantine_script]
-   behaves identically whichever backend runs the tick. *)
-let run_tick_fused_guarded ?delta ?cols (c : compiled) ~(fused : fused) ~(evaluator : Eval.t)
+(* One group's verdict on one lane under isolation. *)
+type outcome =
+  | Skipped (* no members of the group on this lane *)
+  | Done of Combine.Acc.t
+  | Failed of exn * Printexc.raw_backtrace
+
+(* The lanes.  A sequential engine runs one evaluator inline over the
+   groups as given.  A parallel engine cuts the unit array into one
+   contiguous chunk per family member; lane [k] runs the intersection of
+   every group with chunk [k] on the pool, probing the read-only snapshot
+   [family.prepare] just published, and the lane bags fold in chunk order
+   with the accumulator-level (+), whose associativity and commutativity
+   make the result independent of the chunking — so any chunk count,
+   including 1, reproduces the sequential tick bit-for-bit on integral
+   workloads.
+
+   [isolate] gives each (lane, group) a private effect bag.  A group merges
+   only when every lane of it succeeded, so a group that raises anywhere
+   contributes nothing at all and is reported as one {!group_fault}, with
+   further lane failures counted in [gf_suppressed]: the per-group
+   transactional discipline behind quarantine, independent of where chunk
+   boundaries fell.  Without it groups write straight into the lane
+   accumulator and exceptions propagate untouched. *)
+let execute ?delta ?cols (c : compiled) (engine : engine) ~(isolate : bool)
     ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
     Combine.Acc.t * group_fault list =
   let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
+  let lanes, pool, kernels =
+    match engine with
+    | Seq evaluator ->
+      evaluator.Eval.begin_tick ?delta ?cols units;
+      ([| evaluator |], None, None)
+    | Fus { evaluator; kernels } ->
+      evaluator.Eval.begin_tick ?delta ?cols units;
+      ([| evaluator |], None, Some kernels)
+    | Par { pool; family } ->
+      family.Eval.prepare ?delta ?cols units;
+      (family.Eval.members, Some pool, None)
+  in
   let find_key = key_table schema units in
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  List.iter
-    (fun g ->
-      let gacc = Combine.Acc.create schema in
-      match
-        run_group_fused ?cols c ~schema ~fused ~evaluator ~find_key ~acc:gacc ~units ~rand_for g
-      with
-      | () -> Combine.Acc.merge_into ~dst:acc gacc
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt; gf_suppressed = 0 } :: !faults)
-    groups;
-  (acc, List.rev !faults)
-
-(* One chunk's verdict on one group. *)
-type chunk_outcome =
-  | Chunk_skip (* no members of the group in this chunk *)
-  | Chunk_ok of Combine.Acc.t
-  | Chunk_failed of exn * Printexc.raw_backtrace
-
-let run_tick_parallel_guarded ?delta ?cols (c : compiled) ~(pool : Sgl_util.Domain_pool.t)
-    ~(family : Eval.family) ~(units : Tuple.t array) ~(groups : group list)
-    ~(rand_for : key:int -> int -> int) : Combine.Acc.t * group_fault list =
-  let schema = c.prog.Core_ir.schema in
-  family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table schema units in
-  let chunks = Array.length family.Eval.members in
-  let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
-  let groups_arr = Array.of_list groups in
-  let run_chunk k =
-    let lo, hi = ranges.(k) in
-    let evaluator = family.Eval.members.(k) in
-    Array.map
-      (fun g ->
-        let mine =
-          Array.of_list
-            (List.filter (fun i -> lo <= i && i < hi) (Array.to_list g.members))
+  let groups = Array.of_list groups in
+  (* The groups lane [k] runs; [None] where a group has no member there. *)
+  let lane_groups =
+    match pool with
+    | None -> fun _ -> Array.map Option.some groups
+    | Some _ ->
+      let ranges =
+        Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks:(Array.length lanes)
+      in
+      fun k ->
+        let lo, hi = ranges.(k) in
+        Array.map
+          (fun g ->
+            (* Group membership need not be sorted: filter, don't slice. *)
+            let mine = List.filter (fun i -> lo <= i && i < hi) (Array.to_list g.members) in
+            if mine = [] then None else Some { g with members = Array.of_list mine })
+          groups
+  in
+  let map_lanes f =
+    match pool with
+    | None -> [| f 0 |]
+    | Some pool ->
+      Sgl_util.Domain_pool.parallel_map pool f (Array.init (Array.length lanes) Fun.id)
+  in
+  let run k ~acc g =
+    run_group c ~kernels ~schema ~cols ~evaluator:lanes.(k) ~find_key ~acc ~units ~rand_for g
+  in
+  if not isolate then begin
+    let accs =
+      map_lanes (fun k ->
+          let acc = Combine.Acc.create schema in
+          Array.iter (Option.iter (run k ~acc)) (lane_groups k);
+          acc)
+    in
+    match pool with
+    | None -> (accs.(0), [])
+    | Some _ ->
+      let out = Combine.Acc.create schema in
+      Array.iter (fun acc -> Combine.Acc.merge_into ~dst:out acc) accs;
+      (out, [])
+  end
+  else begin
+    let outcomes =
+      map_lanes (fun k ->
+          Array.map
+            (function
+              | None -> Skipped
+              | Some g -> (
+                let gacc = Combine.Acc.create schema in
+                match run k ~acc:gacc g with
+                | () -> Done gacc
+                | exception e -> Failed (e, Printexc.get_raw_backtrace ())))
+            (lane_groups k))
+    in
+    let acc = Combine.Acc.create schema in
+    let faults = ref [] in
+    Array.iteri
+      (fun gi g ->
+        let lane_outcomes = Array.map (fun o -> o.(gi)) outcomes in
+        let failures =
+          List.filter_map
+            (function Failed (e, bt) -> Some (e, bt) | Skipped | Done _ -> None)
+            (Array.to_list lane_outcomes)
         in
-        if Array.length mine = 0 then Chunk_skip
-        else begin
-          let gacc = Combine.Acc.create schema in
-          match
-            run_group c ~schema ~evaluator ~find_key ~acc:gacc ~units ~rand_for
-              { g with members = mine }
-          with
-          | () -> Chunk_ok gacc
-          | exception e -> Chunk_failed (e, Printexc.get_raw_backtrace ())
-        end)
-      groups_arr
-  in
-  let per_chunk =
-    Sgl_util.Domain_pool.parallel_map pool run_chunk (Array.init chunks (fun k -> k))
-  in
-  (* A group's bag merges only when every chunk of it succeeded: a group
-     failing on any chunk contributes nothing from any chunk, so quarantine
-     semantics do not depend on where the chunk boundaries fell. *)
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  Array.iteri
-    (fun gi g ->
-      let failures = ref [] in
-      Array.iter
-        (fun outcomes ->
-          match outcomes.(gi) with
-          | Chunk_skip | Chunk_ok _ -> ()
-          | Chunk_failed (e, bt) -> failures := (e, bt) :: !failures)
-        per_chunk;
-      match List.rev !failures with
-      | [] ->
-        Array.iter
-          (fun outcomes ->
-            match outcomes.(gi) with
-            | Chunk_ok gacc -> Combine.Acc.merge_into ~dst:acc gacc
-            | Chunk_skip | Chunk_failed _ -> ())
-          per_chunk
-      | (e, bt) :: rest ->
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt;
-            gf_suppressed = List.length rest }
-          :: !faults)
-    groups_arr;
-  (acc, List.rev !faults)
+        match failures with
+        | [] ->
+          Array.iter
+            (function Done gacc -> Combine.Acc.merge_into ~dst:acc gacc | Skipped | Failed _ -> ())
+            lane_outcomes
+        | (e, bt) :: rest ->
+          faults :=
+            { gf_script = g.script; gf_exn = e; gf_backtrace = bt;
+              gf_suppressed = List.length rest }
+            :: !faults)
+      groups;
+    (acc, List.rev !faults)
+  end
+
+let run_tick ?delta ?cols c ~evaluator ~units ~groups ~rand_for =
+  fst (execute ?delta ?cols c (Seq evaluator) ~isolate:false ~units ~groups ~rand_for)
+
+let run_tick_parallel ?delta ?cols c ~pool ~family ~units ~groups ~rand_for =
+  fst (execute ?delta ?cols c (Par { pool; family }) ~isolate:false ~units ~groups ~rand_for)
+
+let run_tick_fused ?delta ?cols c ~fused ~evaluator ~units ~groups ~rand_for =
+  fst
+    (execute ?delta ?cols c (Fus { evaluator; kernels = fused }) ~isolate:false ~units ~groups
+       ~rand_for)

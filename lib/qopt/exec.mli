@@ -41,45 +41,6 @@ val run_plan :
   rands:(int -> int) array ->
   unit
 
-(** Run every group's script; raises {!Exec_error} if a group names an
-    unknown script.  [delta] summarises what changed since the previous
-    tick's unit array and is forwarded to [evaluator.begin_tick] so the
-    cross-tick index cache can revalidate instead of rebuilding; omitting
-    it is always sound (cold tick).  [cols], when given, is the columnar
-    mirror of [units]: it is forwarded to the evaluator (index builds scan
-    typed columns) and, on the fused paths, into the kernels (float binds
-    become column loads).  Purely an access-path hint — ticks are
-    bit-identical with or without it. *)
-val run_tick :
-  ?delta:Delta.t ->
-  ?cols:Colstore.t ->
-  compiled ->
-  evaluator:Eval.t ->
-  units:Tuple.t array ->
-  groups:group list ->
-  rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t
-
-(** [run_tick_parallel c ~pool ~family ~units ~groups ~rand_for] is
-    [run_tick] with the decision phase fanned out over [pool]: the unit
-    array is split into one contiguous chunk per family member, each chunk
-    evaluated against the read-only index snapshot published by
-    [family.prepare], and the per-chunk effect bags folded with the
-    combination operator (+).  Because (+) is associative and commutative
-    and the chunking is a pure function of [units], the result is
-    independent of the chunk count and of domain scheduling.  [delta] is
-    forwarded to [family.prepare] like {!run_tick}'s. *)
-val run_tick_parallel :
-  ?delta:Delta.t ->
-  ?cols:Colstore.t ->
-  compiled ->
-  pool:Sgl_util.Domain_pool.t ->
-  family:Eval.family ->
-  units:Tuple.t array ->
-  groups:group list ->
-  rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t
-
 (** Fused execution backend: every script's plan lowered through
     {!Loop_ir.Lower} and compiled once into a closure-composed kernel. *)
 type fused = (string * Loop_ir.Compile.kernel) list
@@ -91,12 +52,95 @@ type fused = (string * Loop_ir.Compile.kernel) list
     handed to {!Loop_ir.Compile.compile}. *)
 val fuse : ?fold:(string -> Expr.t -> Value.t option) -> compiled -> fused
 
-(** [run_tick] driven by fused kernels instead of plan walking.
-    Bit-identical to {!run_tick} with the same evaluator: kernels mirror
-    the interpreter's expression semantics exactly, and the reordering
-    introduced by operator fusion only permutes contributions to the
-    commutative ⊕-accumulator (rule V003 validates each lowering).  Fires
-    the ["fused.kernel"] injection point per group, after ["exec.group"]. *)
+(** What runs a tick's decision phase: one evaluator driven sequentially
+    through plan walking, a family of evaluators fanned out over a shared
+    domain pool, or one evaluator driven through the fused kernels. *)
+type engine =
+  | Seq of Eval.t
+  | Par of { pool : Sgl_util.Domain_pool.t; family : Eval.family }
+  | Fus of { evaluator : Eval.t; kernels : fused }
+
+(** One script group's failure under isolated execution.  [gf_suppressed]
+    counts further failures of the same group on other chunks of a
+    parallel tick. *)
+type group_fault = {
+  gf_script : string;
+  gf_exn : exn;
+  gf_backtrace : Printexc.raw_backtrace;
+  gf_suppressed : int;
+}
+
+(** The executor: run every group's script on [engine] and return the
+    combined effects of the tick, ready for post-processing.  Raises
+    {!Exec_error} if a group names an unknown script.
+
+    [delta] summarises what changed since the previous tick's unit array
+    and is forwarded to [begin_tick]/[family.prepare] so the cross-tick
+    index cache can revalidate instead of rebuilding; omitting it is
+    always sound (cold tick).  [cols], when given, is the columnar mirror
+    of [units]: it is forwarded to the evaluator (index builds scan typed
+    columns) and into the fused kernels (float binds become column loads).
+    Ticks are bit-identical with or without it.
+
+    A [Par] engine splits the unit array into one contiguous chunk per
+    family member, evaluates each chunk against the read-only index
+    snapshot published by [family.prepare], and folds the per-chunk effect
+    bags with the combination operator (+) in chunk order.  Because (+) is
+    associative and commutative and the chunking is a pure function of
+    [units], the result is independent of the chunk count and of domain
+    scheduling.  A failing chunk re-raises through
+    {!Sgl_util.Domain_pool.parallel_map}, which counts further lane
+    failures.
+
+    With [isolate = false] the fault list is always empty and exceptions
+    propagate untouched.  With [isolate = true] every group accumulates
+    into a private effect bag merged only when the group succeeded on every
+    chunk, so a raising group contributes nothing and execution continues
+    with the remaining groups; one {!group_fault} per failed group is
+    returned, in group order, with further chunk failures of the same
+    group counted in [gf_suppressed].  Fault-free, the isolated result is
+    bit-identical to the plain one on integral workloads. *)
+val execute :
+  ?delta:Delta.t ->
+  ?cols:Colstore.t ->
+  compiled ->
+  engine ->
+  isolate:bool ->
+  units:Tuple.t array ->
+  groups:group list ->
+  rand_for:(key:int -> int -> int) ->
+  Combine.Acc.t * group_fault list
+
+(** [execute] on a [Seq evaluator] engine, without isolation. *)
+val run_tick :
+  ?delta:Delta.t ->
+  ?cols:Colstore.t ->
+  compiled ->
+  evaluator:Eval.t ->
+  units:Tuple.t array ->
+  groups:group list ->
+  rand_for:(key:int -> int -> int) ->
+  Combine.Acc.t
+
+(** [execute] on a [Par { pool; family }] engine, without isolation. *)
+val run_tick_parallel :
+  ?delta:Delta.t ->
+  ?cols:Colstore.t ->
+  compiled ->
+  pool:Sgl_util.Domain_pool.t ->
+  family:Eval.family ->
+  units:Tuple.t array ->
+  groups:group list ->
+  rand_for:(key:int -> int -> int) ->
+  Combine.Acc.t
+
+(** [execute] on a [Fus { evaluator; kernels = fused }] engine, without
+    isolation.  Bit-identical to {!run_tick} with the same evaluator:
+    kernels mirror the interpreter's expression semantics exactly, and the
+    reordering introduced by operator fusion only permutes contributions to
+    the commutative ⊕-accumulator (rule V003 validates each lowering).
+    Fires the ["fused.kernel"] injection point per group, after
+    ["exec.group"]. *)
 val run_tick_fused :
   ?delta:Delta.t ->
   ?cols:Colstore.t ->
@@ -107,60 +151,3 @@ val run_tick_fused :
   groups:group list ->
   rand_for:(key:int -> int -> int) ->
   Combine.Acc.t
-
-(** One script group's failure under guarded execution.  [gf_suppressed]
-    counts further failures of the same group on other chunks of a
-    parallel tick. *)
-type group_fault = {
-  gf_script : string;
-  gf_exn : exn;
-  gf_backtrace : Printexc.raw_backtrace;
-  gf_suppressed : int;
-}
-
-(** [run_tick] with per-group guards: every group accumulates into a
-    private effect bag merged only on success, so a raising group
-    contributes nothing and execution continues with the remaining groups.
-    Returns the combined effects of the surviving groups plus one
-    {!group_fault} per failed group, in group order.  Fault-free, the
-    result is bit-identical to {!run_tick} on integral workloads (bags
-    merge through the associative-commutative (+)). *)
-val run_tick_guarded :
-  ?delta:Delta.t ->
-  ?cols:Colstore.t ->
-  compiled ->
-  evaluator:Eval.t ->
-  units:Tuple.t array ->
-  groups:group list ->
-  rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t * group_fault list
-
-(** Guarded variant of {!run_tick_fused}: per-group private bags, a
-    raising kernel reported under its script name — the exact fault
-    surface of {!run_tick_guarded}, so quarantine decisions do not depend
-    on which backend ran the tick. *)
-val run_tick_fused_guarded :
-  ?delta:Delta.t ->
-  ?cols:Colstore.t ->
-  compiled ->
-  fused:fused ->
-  evaluator:Eval.t ->
-  units:Tuple.t array ->
-  groups:group list ->
-  rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t * group_fault list
-
-(** Guarded variant of {!run_tick_parallel}.  A group merges only when
-    every chunk of it succeeded, so quarantine semantics are independent
-    of chunk boundaries; a group failing on several chunks yields one
-    fault with the extra failures counted in [gf_suppressed]. *)
-val run_tick_parallel_guarded :
-  ?delta:Delta.t ->
-  ?cols:Colstore.t ->
-  compiled ->
-  pool:Sgl_util.Domain_pool.t ->
-  family:Eval.family ->
-  units:Tuple.t array ->
-  groups:group list ->
-  rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t * group_fault list

@@ -553,7 +553,8 @@ module Compile = struct
     List.filter (fun (_, e) -> (not safe) || Option.is_none (float_plan schema e)) (bind_steps p)
 
   let compile ?(fold = fun (_ : Expr.t) -> None) ~(schema : Schema.t) (p : t) : kernel =
-    let run = compile_prog schema ~columnar:(columnar_ok ~schema p) ~fold p in
+    let columnar = columnar_ok ~schema p in
+    let run = compile_prog schema ~columnar ~fold p in
     fun env ~rows ~rands ->
       if Array.length rows > 0 then begin
         (* Trust the columnar mirror only when the id map covers the rows

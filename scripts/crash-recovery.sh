@@ -13,18 +13,28 @@
 # Final states are compared through --summary-json, not by grepping the
 # human-readable output.
 #
-# Usage: scripts/crash-recovery.sh [checkpoint-dir]
+# Usage: scripts/crash-recovery.sh [checkpoint-dir] [evaluator] [fault-policy]
 # The directory (default: a fresh ./crash-recovery-ckpt) is left in place
-# on failure so CI can upload it for post-mortem.
+# on failure so CI can upload it for post-mortem.  The evaluator is one of
+# naive, indexed (default), fused or parallel:N (N domains); the fault
+# policy is fail (default), quarantine or degrade.  Every leg runs with
+# the same evaluator and policy.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 DIR="${1:-crash-recovery-ckpt}"
+EVALUATOR="${2:-indexed}"
+POLICY="${3:-fail}"
 UNITS=300
 TICKS=40
 EVERY=10
-ARGS="--units $UNITS --ticks $TICKS --evaluator indexed --seed 7 --checkpoint-every $EVERY"
+case "$EVALUATOR" in
+  parallel:*) EVAL_ARGS="--evaluator parallel --domains ${EVALUATOR#parallel:}" ;;
+  *) EVAL_ARGS="--evaluator $EVALUATOR" ;;
+esac
+ARGS="--units $UNITS --ticks $TICKS $EVAL_ARGS --fault-policy $POLICY --seed 7 --checkpoint-every $EVERY"
+echo "crash-recovery: evaluator $EVALUATOR, fault policy $POLICY"
 
 SIM="_build/default/bin/battle_sim.exe"
 [ -x "$SIM" ] || dune build bin/battle_sim.exe
@@ -130,4 +140,4 @@ echo "   checksum caught the damage; fallback + journal replay matched the refer
 
 rm -rf "$DIR" ref.out crash.out restore.out corrupt.out crash-flight.dump \
   ref-summary.json restore-summary.json corrupt-summary.json flight-summary.json
-echo "crash-recovery: OK"
+echo "crash-recovery: OK ($EVALUATOR, $POLICY)"

@@ -222,6 +222,154 @@ let oracle_untrusted () =
     = Some (Value.Int 0))
 
 (* ------------------------------------------------------------------ *)
+(* Fold law: whatever the constant-folding oracle pins an expression to
+   must be exactly what evaluation produces, bit for bit — the kernels
+   compile a folded subtree to that constant.  Expressions are grounded
+   (unit reads replaced by the drawn store's values) so most of them are
+   store-independent and the oracle actually answers. *)
+
+let rec ground (u : Tuple.t) (e : Expr.t) : Expr.t =
+  let g = ground u in
+  match e with
+  | Expr.UAttr i -> Expr.Const u.(i)
+  | Expr.Const _ | Expr.EAttr _ -> e
+  | Expr.Binop (op, a, b) -> Expr.Binop (op, g a, g b)
+  | Expr.Cmp (op, a, b) -> Expr.Cmp (op, g a, g b)
+  | Expr.And (a, b) -> Expr.And (g a, g b)
+  | Expr.Or (a, b) -> Expr.Or (g a, g b)
+  | Expr.Not a -> Expr.Not (g a)
+  | Expr.Neg a -> Expr.Neg (g a)
+  | Expr.VecOf (a, b) -> Expr.VecOf (g a, g b)
+  | Expr.VecX a -> Expr.VecX (g a)
+  | Expr.VecY a -> Expr.VecY (g a)
+  | Expr.Abs a -> Expr.Abs (g a)
+  | Expr.Sqrt a -> Expr.Sqrt (g a)
+  | Expr.MinOf (a, b) -> Expr.MinOf (g a, g b)
+  | Expr.MaxOf (a, b) -> Expr.MaxOf (g a, g b)
+  | Expr.Random a -> Expr.Random (g a)
+
+let same_bits (a : Value.t) (b : Value.t) =
+  let fb x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Float x, Value.Float y -> fb x y
+  | Value.Bool x, Value.Bool y -> x = y
+  | Value.Vec v, Value.Vec w -> fb v.Sgl_util.Vec2.x w.Sgl_util.Vec2.x && fb v.y w.y
+  | _ -> false
+
+let fold_oracle () =
+  Absint.make_oracle
+    (Compile.compile ~consts:Scripts.constants ~schema:(battle_schema ()) oracle_source)
+
+(* [Some (folded, evaluated)] when the oracle folds [e]; the evaluated
+   side is [None] when evaluation raises, which a fold must never allow. *)
+let fold_vs_eval (oracle : Absint.oracle) (e : Expr.t) : (Value.t * Value.t option) option =
+  Option.map
+    (fun c ->
+      let ctx = { Expr.u = [||]; e = None; rand = (fun i -> (i * 2654435761) land 0xFFFFF) } in
+      (c, try Some (Expr.eval ctx e) with _ -> None))
+    (oracle.Absint.fold "cautious" e)
+
+(* Well-typed float and vec arithmetic over constants: nearly every
+   draw folds, so rounding-order differences between a transfer function
+   and the concrete operation surface quickly. *)
+let gen_arith =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun i -> Expr.Const (Value.Int i)) (int_range (-20) 20);
+        map (fun f -> Expr.Const (Value.Float f)) (float_range (-8.) 8.);
+        map (fun i -> Expr.Sqrt (Expr.Const (Value.Int i))) (int_range 1 50);
+        (* signed zeros: the bits a fold must get right beyond rounding *)
+        oneofl [ Expr.Const (Value.Float 0.); Expr.Neg (Expr.Const (Value.Float 0.)) ];
+      ]
+  in
+  let arith = oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div ] in
+  let rec num n =
+    if n <= 0 then leaf
+    else
+      let sub = num (n / 2) and vsub = vec (n / 2) in
+      frequency
+        [
+          (2, leaf);
+          (3, map3 (fun op a b -> Expr.Binop (op, a, b)) arith sub sub);
+          (1, map (fun a -> Expr.Neg a) sub);
+          (1, map (fun a -> Expr.Sqrt (Expr.Abs a)) sub);
+          (1, map2 (fun a b -> Expr.MinOf (a, b)) sub sub);
+          (1, map2 (fun a b -> Expr.MaxOf (a, b)) sub sub);
+          (1, map (fun v -> Expr.VecX v) vsub);
+          (1, map (fun v -> Expr.VecY v) vsub);
+        ]
+  and vec n =
+    let sub = num (n / 2) in
+    if n <= 0 then map2 (fun a b -> Expr.VecOf (a, b)) leaf leaf
+    else
+      let vsub = vec (n / 2) in
+      frequency
+        [
+          (2, map2 (fun a b -> Expr.VecOf (a, b)) sub sub);
+          (1, map3 (fun op a b -> Expr.Binop (op, a, b)) (oneofl [ Expr.Add; Expr.Sub ]) vsub vsub);
+          (1, map2 (fun k v -> Expr.Binop (Expr.Mul, k, v)) sub vsub);
+          (2, map2 (fun v k -> Expr.Binop (Expr.Div, v, k)) vsub sub);
+          (1, map (fun v -> Expr.Neg v) vsub);
+        ]
+  in
+  sized (fun n -> oneof [ num n; vec n ])
+
+let fold_law =
+  let oracle = lazy (fold_oracle ()) in
+  QCheck.Test.make ~name:"absint: fold agrees with evaluation bit for bit" ~count:2000
+    (QCheck.make ~print:(Fmt.str "%a" Expr.pp)
+       QCheck.Gen.(
+         frequency [ (1, map (fun (e, u) -> ground u e) (pair gen_expr gen_store)); (1, gen_arith) ]))
+    (fun e ->
+      (* folds only yield scalars: project vecs to reach their parts *)
+      List.for_all
+        (fun e ->
+          match fold_vs_eval (Lazy.force oracle) e with
+          | None -> true
+          | Some (c, Some v) -> same_bits c v
+          | Some (_, None) -> false)
+        [ e; Expr.VecX e; Expr.VecY e ])
+
+(* Counterexamples the law above found, pinned.  [Value.div] scales a vec
+   by [1. /. k], and for k = sqrt 8 the y component rounds differently
+   from -14 / sqrt 8, so the transfer function must replay that order.
+   The others are signed zeros: [Float.abs] of -0. is 0., and [min]/[max]
+   tie -0. with 0. and return the first operand. *)
+let fold_pins () =
+  let f x = Expr.Const (Value.Float x) in
+  let vdiv =
+    Expr.Neg
+      (Expr.Binop
+         ( Expr.Div,
+           Expr.VecOf (Expr.Const (Value.Int (-3)), Expr.Const (Value.Int (-14))),
+           Expr.Sqrt (Expr.Const (Value.Int 8)) ))
+  in
+  Alcotest.(check string) "the expression the law reported" "(- ((-3, -14) / sqrt(8)))"
+    (Fmt.str "%a" Expr.pp vdiv);
+  let d, err = Absint.eval { Absint.u = (fun _ -> Absint.top); e = None } vdiv in
+  let v = Expr.eval { Expr.u = [||]; e = None; rand = (fun _ -> 0) } vdiv in
+  Alcotest.(check bool) "no error" false err;
+  Alcotest.(check bool) "evaluation lands in the interval" true (Absint.mem v d);
+  let oracle = fold_oracle () in
+  List.iter
+    (fun (name, must_fold, e) ->
+      match fold_vs_eval oracle e with
+      | Some (c, Some v) ->
+        Alcotest.(check bool) (name ^ " folds to the evaluated bits") true (same_bits c v)
+      | Some (_, None) -> Alcotest.failf "%s: folded, but evaluation raises" name
+      | None -> if must_fold then Alcotest.failf "%s: constant expression should fold" name)
+    [
+      ("vec / sqrt 8, x", true, Expr.VecX vdiv);
+      ("vec / sqrt 8, y", true, Expr.VecY vdiv);
+      ("abs (-2.21549 * 0)", true, Expr.Abs (Expr.Binop (Expr.Mul, f (-2.21549), f 0.)));
+      ("min (0, -0)", false, Expr.MinOf (f 0., Expr.Neg (f 0.)));
+      ("max (-0, 0)", false, Expr.MaxOf (Expr.Neg (f 0.), f 0.));
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Battle certificates: every shipped script must certify shard-local,
    with the radii the scripts' windows imply. *)
 
@@ -339,6 +487,8 @@ let suite =
       [
         Alcotest.test_case "domain basics" `Quick domain_basics;
         QCheck_alcotest.to_alcotest eval_soundness;
+        QCheck_alcotest.to_alcotest fold_law;
+        Alcotest.test_case "fold counterexamples pinned" `Quick fold_pins;
         Alcotest.test_case "oracle prove/fold with validation" `Quick oracle_prove_fold;
         Alcotest.test_case "untrusting oracle ignores declared ranges" `Quick oracle_untrusted;
         Alcotest.test_case "battle shard-locality certificates" `Quick battle_certificates;

@@ -415,11 +415,13 @@ let degrade_exhausted () =
       Alcotest.(check bool) "re-raises once the chain is exhausted" true raised;
       Alcotest.(check int) "nothing half-applied" 0 (Simulation.tick_count sim))
 
-(* Guarded execution is bit-identical to unguarded when nothing fires:
-   per-group accumulators merge through (+), which is exact here. *)
-let quarantine_faultfree_identical () =
+(* Isolated execution is bit-identical to plain execution when nothing
+   fires: per-group accumulators merge through (+), which is exact here.
+   Checked on every evaluator, so the isolated plan-walk, kernel and
+   chunked lanes are each covered. *)
+let quarantine_faultfree_identical evaluator () =
   let run policy =
-    let sim = battle_sim ?fault_policy:policy ~evaluator:Simulation.Indexed () in
+    let sim = battle_sim ?fault_policy:policy ~evaluator () in
     Simulation.run sim ~ticks:25;
     sorted_units sim
   in
@@ -486,7 +488,14 @@ let suite =
           degrade_parallel_to_indexed;
         Alcotest.test_case "degrade: down to naive, bit-identical" `Slow degrade_to_naive;
         Alcotest.test_case "degrade: exhausted chain re-raises" `Quick degrade_exhausted;
-        Alcotest.test_case "guards are bit-identical when nothing fires" `Slow
-          quarantine_faultfree_identical;
-      ] );
+      ]
+      @ List.map
+          (fun evaluator ->
+            Alcotest.test_case
+              ("guards are bit-identical when nothing fires: "
+              ^ Simulation.evaluator_name evaluator)
+              `Slow
+              (quarantine_faultfree_identical evaluator))
+          Simulation.
+            [ Naive; Indexed; Parallel { domains = 2 }; Parallel { domains = 3 }; Fused ] );
   ]
