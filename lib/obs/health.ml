@@ -42,11 +42,11 @@ let rate reuses builds =
   let total = reuses + builds in
   if total = 0 then nan else float_of_int reuses /. float_of_int total
 
-let assess ~(sim : Simulation.t) ~(flight : Flight.t) ~(peak_units : int) : status =
-  let recent = Flight.tail ~n:window flight in
-  let r = Simulation.report sim in
-  match Flight.last flight with
-  | None ->
+let judge ~(recent : Flight.sample list) ~(baseline_p50_s : float) ~(overall_reuses : int)
+    ~(overall_builds : int) ~(peak_units : int) : status =
+  let overall_reuse_rate = rate overall_reuses overall_builds in
+  match List.rev recent with
+  | [] ->
     {
       ready = false;
       healthy = false;
@@ -59,20 +59,18 @@ let assess ~(sim : Simulation.t) ~(flight : Flight.t) ~(peak_units : int) : stat
       recent_reuse_rate = nan;
       overall_reuse_rate = nan;
     }
-  | Some last ->
+  | last :: _ ->
     let times =
       List.map (fun (s : Flight.sample) -> s.Simulation.s_tick_s) recent |> Array.of_list
     in
     Array.sort compare times;
     let recent_p99_s = nearest_rank times 0.99 in
-    let baseline_p50_s = r.Simulation.tick_p50_s in
     let recent_builds =
       List.fold_left (fun a (s : Flight.sample) -> a + s.Simulation.s_index_builds) 0 recent
     and recent_reuses =
       List.fold_left (fun a (s : Flight.sample) -> a + s.Simulation.s_index_reuses) 0 recent
     in
     let recent_reuse_rate = rate recent_reuses recent_builds in
-    let overall_reuse_rate = rate r.Simulation.index_reuses r.Simulation.index_builds in
     let flags = ref [] in
     if
       Float.is_finite recent_p99_s && Float.is_finite baseline_p50_s
@@ -103,6 +101,12 @@ let assess ~(sim : Simulation.t) ~(flight : Flight.t) ~(peak_units : int) : stat
       recent_reuse_rate;
       overall_reuse_rate;
     }
+
+let assess ~(sim : Simulation.t) ~(flight : Flight.t) ~(peak_units : int) : status =
+  let r = Simulation.report sim in
+  judge ~recent:(Flight.tail ~n:window flight) ~baseline_p50_s:r.Simulation.tick_p50_s
+    ~overall_reuses:r.Simulation.index_reuses ~overall_builds:r.Simulation.index_builds
+    ~peak_units
 
 let to_json (s : status) : string =
   let f = Telemetry.json_float in

@@ -20,5 +20,16 @@ type status = {
   overall_reuse_rate : float;
 }
 
+(** [judge ~recent ...] is the pure flag logic over [recent], the flight
+    recorder's newest samples (oldest first): not ready when [recent] is
+    empty; otherwise the recent tick-time p99 is held against
+    [baseline_p50_s], the newest population against [peak_units], and the
+    recent reuse rate against [overall_reuses / (overall_reuses +
+    overall_builds)].  Same inputs, same status: no clock is read. *)
+val judge :
+  recent:Flight.sample list -> baseline_p50_s:float -> overall_reuses:int ->
+  overall_builds:int -> peak_units:int -> status
+
+(** [judge] over [flight]'s recent window and [sim]'s report. *)
 val assess : sim:Simulation.t -> flight:Flight.t -> peak_units:int -> status
 val to_json : status -> string

@@ -175,14 +175,20 @@ type group = {
   data_filter : Predicate.t;
   mutable stats_exprs : Expr.t list; (* deduped union of member statistics *)
   mutable n_stats : int;
+  g_builds : Telemetry.counter; (* per-group structure builds, for EXPLAIN *)
   g_reuses : Telemetry.counter; (* per-group cache reuse, for EXPLAIN *)
 }
 
-(* Group-scoped reuse counters: [group.<id>.reuses] counts the entry plus
-   every per-partition structure the cross-tick cache carried over for
-   that group, so EXPLAIN can show cache behaviour per access path. *)
-let group_reuse_counter (group_id : int) : Telemetry.counter =
-  Telemetry.counter (Printf.sprintf "group.%d.reuses" group_id)
+(* A group with no members yet, and its scoped counters:
+   [group.<id>.builds] counts the group's index plus every per-partition
+   structure built for it, [group.<id>.reuses] the ones the cross-tick
+   cache carried over instead, so EXPLAIN can show cache behaviour per
+   access path.  The call-local AoE groups all count under id -1. *)
+let new_group ~(group_id : int)
+    ((cat_attrs, box_attrs, data_filter) : int list * int list * Predicate.t) : group =
+  let counter what = Telemetry.counter (Printf.sprintf "group.%d.%s" group_id what) in
+  { group_id; cat_attrs; box_attrs; data_filter; stats_exprs = []; n_stats = 0;
+    g_builds = counter "builds"; g_reuses = counter "reuses" }
 
 (* A member's view of its group: where its statistics landed. *)
 type membership = {
@@ -219,7 +225,17 @@ let join_group (g : group) (stats_exprs : Expr.t list) : membership =
   { group = g; stat_map = Array.of_list map }
 
 (* ------------------------------------------------------------------ *)
-(* Built indexes: one per group per tick, partitions lazy *)
+(* Built indexes: one per group per tick, sub-structures lazy
+
+   Every index structure — a group's index and each partition's divisible,
+   enumeration and kD structures — lives in a once-cell: built on first
+   use, published exactly once, for every evaluator and every lane.  The
+   fast path is one [Atomic.get]; a miss takes the owning context's lock,
+   looks again (another lane may have published meanwhile), builds and
+   publishes.  A build that raises (an [index.build] injection, say)
+   releases the lock and leaves the cell empty.  So a parallel family
+   builds exactly the structures its probes touch, the same set the
+   sequential evaluator builds, and each one once. *)
 
 type div_struct =
   | Div_total of float array (* no box dims: the partition's statistic sum *)
@@ -228,10 +244,22 @@ type div_struct =
 
 type sub_index = {
   members : int array; (* data ids, ascending *)
-  mutable divisible : div_struct option;
-  mutable enum_tree : Range_tree.t option;
-  mutable kds : ((int * int) * Kd_tree.t) list; (* per (ex, ey) coordinate pair *)
+  divisible : div_struct option Atomic.t;
+  enum_tree : Range_tree.t option Atomic.t;
+  kds : ((int * int) * Kd_tree.t) list Atomic.t; (* per (ex, ey) coordinate pair *)
 }
+
+(* The slow path of every once-cell: the caller's [lookup] missed without
+   the lock.  Under [lock], look again, else build and publish. *)
+let once (lock : Mutex.t) ~(lookup : unit -> 'a option) ~(build : unit -> 'a)
+    ~(publish : 'a -> unit) : 'a =
+  Mutex.protect lock (fun () ->
+      match lookup () with
+      | Some x -> x
+      | None ->
+        let x = build () in
+        publish x;
+        x)
 
 type built_index = {
   mutable data : Tuple.t array;
@@ -250,6 +278,7 @@ type built_index = {
      builds then read coordinates/statistics from contiguous typed columns.
      Swapped alongside [data] on revalidation. *)
   mutable cols : Colstore.t option;
+  lock : Mutex.t; (* guards the sub-structure cells' slow path *)
 }
 
 (* Coordinate accessor for attribute [attr] of [bi.data]: a contiguous
@@ -281,24 +310,21 @@ let stat_fns (bi : built_index) : (int -> float) array =
        bi.group.stats_exprs)
 
 (* Shared build bookkeeping: the evaluator-local stats record, the global
-   build counter, and the build-duration histogram. *)
-let count_build (st : eval_stats) (t0 : float) : unit =
+   and per-group build counters, and the build-duration histogram. *)
+let count_build (st : eval_stats) (group : group) (t0 : float) : unit =
   let dt = Timer.now () -. t0 in
   st.index_builds <- st.index_builds + 1;
   st.build_seconds <- st.build_seconds +. dt;
   Telemetry.Counter.incr tel_index_build;
+  Telemetry.Counter.incr group.g_builds;
   Telemetry.Histogram.observe tel_build_hist dt
 
-let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : Tuple.t array) :
-    built_index =
+(* [cols] is trusted as given: [open_tick] is the one place that decides
+   whether a mirror covers the unit array. *)
+let build_index (st : eval_stats) ~(lock : Mutex.t) ~(epoch : int) ~(cols : Colstore.t option)
+    ~(group : group) ~(data : Tuple.t array) : built_index =
   Fault_inject.hit "index.build";
   let t0 = Timer.now () in
-  (* Only trust a columnar mirror that actually covers [data]. *)
-  let cols =
-    match cols with
-    | Some cs when Colstore.length cs = Array.length data && Colstore.rectangular cs -> Some cs
-    | _ -> None
-  in
   let n = Array.length data in
   let pass id =
     let ctx = { Expr.u = [||]; e = Some data.(id); rand = dummy_rand } in
@@ -321,10 +347,11 @@ let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : T
   in
   let cat =
     Cat_index.create ~keys ~ids ~builder:(fun members ->
-        { members; divisible = None; enum_tree = None; kds = [] })
+        { members; divisible = Atomic.make None; enum_tree = Atomic.make None;
+          kds = Atomic.make [] })
   in
-  count_build st t0;
-  { data; epoch; group; cat; cols }
+  count_build st group t0;
+  { data; epoch; group; cat; cols; lock }
 
 (* The partitions a prober may read, given the *instance's* categorical
    requirements. *)
@@ -364,71 +391,74 @@ let probe_box (access : Agg_plan.access) ~(row : Tuple.t) ~(rand : int -> int) :
       Interval.make ~lo ~lo_strict ~hi ~hi_strict ())
     access.Agg_plan.boxes
 
-(* The [memoize] flag on the [ensure_*] builders: when false, a missing
-   structure is built and returned but NOT stored in [sub].  Members of a
-   shared-index family run with [memoize:false] so that — should the eager
-   [prebuild] pass ever miss a structure — two domains can never race on
-   the [sub_index] fields; they only ever read them.  Sequential
-   evaluators (and call-local indexes like the AoE contributor index) pass
-   [memoize:true] and keep the original caching behaviour. *)
-let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) : div_struct =
-  match sub.divisible with
+let ensure_divisible st (bi : built_index) (sub : sub_index) : div_struct =
+  match Atomic.get sub.divisible with
   | Some d -> d
   | None ->
-    let t0 = Timer.now () in
-    let m = bi.group.n_stats in
-    let fns = stat_fns bi in
-    let stat id = Array.map (fun f -> f id) fns in
-    let coord attr = coord_fn bi attr in
-    let d =
-      match bi.group.box_attrs with
-      | [] ->
-        let total = Array.make m 0. in
-        Array.iter
-          (fun id ->
-            let s = stat id in
-            for j = 0 to m - 1 do
-              total.(j) <- total.(j) +. s.(j)
-            done)
-          sub.members;
-        Div_total total
-      | [ a ] -> Div_range (Range_tree.build ~dims:[ coord a ] ~stats:(Some stat) ~m sub.members)
-      | [ ax; ay ] ->
-        Div_cascade (Cascade_tree.build ~x:(coord ax) ~y:(coord ay) ~stats:stat ~m sub.members)
-      | many ->
-        Div_range (Range_tree.build ~dims:(List.map coord many) ~stats:(Some stat) ~m sub.members)
-    in
-    if memoize then sub.divisible <- Some d;
-    count_build st t0;
-    d
+    once bi.lock
+      ~lookup:(fun () -> Atomic.get sub.divisible)
+      ~publish:(fun d -> Atomic.set sub.divisible (Some d))
+      ~build:(fun () ->
+        let t0 = Timer.now () in
+        let m = bi.group.n_stats in
+        let fns = stat_fns bi in
+        let stat id = Array.map (fun f -> f id) fns in
+        let coord attr = coord_fn bi attr in
+        let d =
+          match bi.group.box_attrs with
+          | [] ->
+            let total = Array.make m 0. in
+            Array.iter
+              (fun id ->
+                let s = stat id in
+                for j = 0 to m - 1 do
+                  total.(j) <- total.(j) +. s.(j)
+                done)
+              sub.members;
+            Div_total total
+          | [ a ] ->
+            Div_range (Range_tree.build ~dims:[ coord a ] ~stats:(Some stat) ~m sub.members)
+          | [ ax; ay ] ->
+            Div_cascade (Cascade_tree.build ~x:(coord ax) ~y:(coord ay) ~stats:stat ~m sub.members)
+          | many ->
+            Div_range
+              (Range_tree.build ~dims:(List.map coord many) ~stats:(Some stat) ~m sub.members)
+        in
+        count_build st bi.group t0;
+        d)
 
-let ensure_enum_tree ~(memoize : bool) st (bi : built_index) (sub : sub_index) : Range_tree.t =
-  match sub.enum_tree with
+let ensure_enum_tree st (bi : built_index) (sub : sub_index) : Range_tree.t =
+  match Atomic.get sub.enum_tree with
   | Some t -> t
   | None ->
-    let t0 = Timer.now () in
-    let coord attr = coord_fn bi attr in
-    let dims =
-      match bi.group.box_attrs with
-      | [] -> [ (fun _ -> 0.) ] (* degenerate: everything in one slab *)
-      | attrs -> List.map coord attrs
-    in
-    let t = Range_tree.build ~dims ~stats:None ~m:0 sub.members in
-    if memoize then sub.enum_tree <- Some t;
-    count_build st t0;
-    t
+    once bi.lock
+      ~lookup:(fun () -> Atomic.get sub.enum_tree)
+      ~publish:(fun t -> Atomic.set sub.enum_tree (Some t))
+      ~build:(fun () ->
+        let t0 = Timer.now () in
+        let coord attr = coord_fn bi attr in
+        let dims =
+          match bi.group.box_attrs with
+          | [] -> [ (fun _ -> 0.) ] (* degenerate: everything in one slab *)
+          | attrs -> List.map coord attrs
+        in
+        let t = Range_tree.build ~dims ~stats:None ~m:0 sub.members in
+        count_build st bi.group t0;
+        t)
 
-let ensure_kd ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) :
-    Kd_tree.t =
-  match List.assoc_opt (ex, ey) sub.kds with
+let ensure_kd st (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) : Kd_tree.t =
+  let lookup () = List.assoc_opt (ex, ey) (Atomic.get sub.kds) in
+  match lookup () with
   | Some t -> t
   | None ->
-    let t0 = Timer.now () in
-    let coord attr = coord_fn bi attr in
-    let t = Kd_tree.build ~x:(coord ex) ~y:(coord ey) sub.members in
-    if memoize then sub.kds <- ((ex, ey), t) :: sub.kds;
-    count_build st t0;
-    t
+    once bi.lock ~lookup
+      ~publish:(fun t -> Atomic.set sub.kds (((ex, ey), t) :: Atomic.get sub.kds))
+      ~build:(fun () ->
+        let t0 = Timer.now () in
+        let coord attr = coord_fn bi attr in
+        let t = Kd_tree.build ~x:(coord ex) ~y:(coord ey) sub.members in
+        count_build st bi.group t0;
+        t)
 
 (* ------------------------------------------------------------------ *)
 (* Batch evaluation of one aggregate against one built index *)
@@ -466,7 +496,7 @@ let fold_best ~(maximize : bool) (best : (float * int) option) (candidate : floa
     in
     if better then Some candidate else best
 
-let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Agg_plan.strategy)
+let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
     ~(agg : Aggregate.t) ~(membership : membership) ~(bi : built_index)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
   match strategy with
@@ -552,12 +582,12 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
               match comp with
               | Agg_plan.C_divisible { kind; stat_offset; stat_count } ->
                 if enumerate then
-                  eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
+                  eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
                 else begin
                   let total = Array.make bi.group.n_stats 0. in
                   List.iter
                     (fun sub ->
-                      let d = ensure_divisible ~memoize st bi sub in
+                      let d = ensure_divisible st bi sub in
                       st.index_probes <- st.index_probes + 1;
                       Telemetry.Counter.incr tel_index_probe;
                       Telemetry.Counter.incr tel.tel_probes;
@@ -589,7 +619,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
                   | Some (value, id) -> finish_extremal ~bi ~row ~rand kind value id
                 end
                 | None ->
-                  eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
+                  eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
               end
               | Agg_plan.C_nearest { kind } -> begin
                 match kind with
@@ -609,7 +639,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
                   let best =
                     List.fold_left
                       (fun best sub ->
-                        let kd = ensure_kd ~memoize st bi ~ex:exa ~ey:eya sub in
+                        let kd = ensure_kd st bi ~ex:exa ~ey:eya sub in
                         st.index_probes <- st.index_probes + 1;
                         Telemetry.Counter.incr tel_index_probe;
                         Telemetry.Counter.incr tel.tel_probes;
@@ -635,14 +665,14 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
 
 (* Enumeration path: report the box contents, filter residuals, and fall
    back to the one-component naive evaluation over the candidates. *)
-and eval_enum_component st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
+and eval_enum_component st ~(tel : agg_tel) ~(bi : built_index)
     ~(access : Agg_plan.access) ~(row : Tuple.t)
     ~(rand : int -> int) ~(parts : sub_index list) ~(box : Interval.t list)
     (kind : Aggregate.kind) : Value.t option =
   let candidates = Varray.create 0 in
   List.iter
     (fun sub ->
-      let tree = ensure_enum_tree ~memoize st bi sub in
+      let tree = ensure_enum_tree st bi sub in
       st.index_probes <- st.index_probes + 1;
       Telemetry.Counter.incr tel_index_probe;
       Telemetry.Counter.incr tel.tel_probes;
@@ -695,7 +725,8 @@ type indexed_ctx = {
   memberships : membership option array;
   ctx_units : Tuple.t array ref;
   ctx_cols : Colstore.t option ref; (* columnar mirror of [ctx_units], when published *)
-  cache : (int, built_index) Hashtbl.t; (* group id -> built index, epoch-stamped *)
+  cache : built_index option Atomic.t array; (* by group id; epoch-stamped once-cells *)
+  lock : Mutex.t; (* the once-cells' slow path, for every lane *)
   mutable epoch : int; (* bumped once per [begin_tick]/[prepare] *)
 }
 
@@ -705,9 +736,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
   (* Assign every Indexed instance to a group; with sharing disabled, each
      instance gets a private group. *)
   let groups : group Varray.t =
-    Varray.create
-      { group_id = -1; cat_attrs = []; box_attrs = []; data_filter = []; stats_exprs = [];
-        n_stats = 0; g_reuses = group_reuse_counter (-1) }
+    Varray.create (new_group ~group_id:(-1) ([], [], []))
   in
   let memberships : membership option array =
     Array.map
@@ -733,10 +762,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
             | Some g -> g
             | None ->
               let gid = Varray.length groups in
-              let g =
-                { group_id = gid; cat_attrs; box_attrs; data_filter;
-                  stats_exprs = []; n_stats = 0; g_reuses = group_reuse_counter gid }
-              in
+              let g = new_group ~group_id:gid (cat_attrs, box_attrs, data_filter) in
               Varray.push groups g;
               g
           in
@@ -751,7 +777,8 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
     memberships;
     ctx_units = ref [||];
     ctx_cols = ref None;
-    cache = Hashtbl.create 32;
+    cache = Array.init (Varray.length groups) (fun _ -> Atomic.make None);
+    lock = Mutex.create ();
     epoch = 0;
   }
 
@@ -769,8 +796,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
    - a per-partition sub-structure survives when its input attributes are
      globally clean, or when none of the partition's members is a dirty
      unit (its inputs may be dirty elsewhere, but not here);
-   - everything else is dropped and rebuilt lazily (sequential) or by the
-     family's eager prebuild (parallel).
+   - everything else is dropped and rebuilt lazily on its next probe.
 
    Structural deltas (death, resurrection, reordering) invalidate
    everything: data ids are positional. *)
@@ -805,14 +831,16 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
         || List.exists (fun e -> any_dirty delta (Expr.e_slots e)) bi.group.stats_exprs)
     in
     let enum_clean = not (any_dirty delta bi.group.box_attrs) in
-    Cat_index.iter_built
-      (fun _key sub ->
+    List.iter
+      (fun sub ->
+        (* scanned only for partitions that hold a structure *)
         let partition_clean =
-          no_dirty_units
-          || not
-               (Array.exists
-                  (fun id -> Delta.dirty_key delta (Tuple.key schema units.(id)))
-                  sub.members)
+          lazy
+            (no_dirty_units
+            || not
+                 (Array.exists
+                    (fun id -> Delta.dirty_key delta (Tuple.key schema units.(id)))
+                    sub.members))
         in
         let keep kept =
           if kept then begin
@@ -821,25 +849,27 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
             Telemetry.Counter.incr bi.group.g_reuses
           end
         in
-        (match sub.divisible with
+        (match Atomic.get sub.divisible with
         | None -> ()
         | Some _ ->
-          if div_clean || partition_clean then keep true else sub.divisible <- None);
-        (match sub.enum_tree with
+          if div_clean || Lazy.force partition_clean then keep true
+          else Atomic.set sub.divisible None);
+        (match Atomic.get sub.enum_tree with
         | None -> ()
         | Some _ ->
-          if enum_clean || partition_clean then keep true else sub.enum_tree <- None);
-        sub.kds <-
-          List.filter
-            (fun ((ex, ey), _) ->
-              let kept =
-                partition_clean
-                || not (Delta.dirty_attr delta ex || Delta.dirty_attr delta ey)
-              in
-              keep kept;
-              kept)
-            sub.kds)
-      bi.cat;
+          if enum_clean || Lazy.force partition_clean then keep true
+          else Atomic.set sub.enum_tree None);
+        Atomic.set sub.kds
+          (List.filter
+             (fun ((ex, ey), _) ->
+               let kept =
+                 (not (Delta.dirty_attr delta ex || Delta.dirty_attr delta ey))
+                 || Lazy.force partition_clean
+               in
+               keep kept;
+               kept)
+             (Atomic.get sub.kds)))
+      (Cat_index.find_matching bi.cat ~accept:(fun _ -> true));
     true
   end
 
@@ -857,40 +887,43 @@ let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
     | Some cs when Colstore.length cs = Array.length units && Colstore.rectangular cs -> Some cs
     | _ -> None);
   ctx.epoch <- ctx.epoch + 1;
-  match delta with
-  | None -> Hashtbl.reset ctx.cache
-  | Some d when Delta.structural d -> Hashtbl.reset ctx.cache
-  | Some d ->
-    let stale =
-      Hashtbl.fold
-        (fun gid bi acc ->
-          if revalidate_index st ctx ~delta:d ~units bi then acc else gid :: acc)
-        ctx.cache []
-    in
-    List.iter (Hashtbl.remove ctx.cache) stale
+  let keep =
+    match delta with
+    | Some d when not (Delta.structural d) -> revalidate_index st ctx ~delta:d ~units
+    | None | Some _ -> fun _ -> false
+  in
+  Array.iter
+    (fun slot ->
+      match Atomic.get slot with
+      | Some bi when not (keep bi) -> Atomic.set slot None
+      | Some _ | None -> ())
+    ctx.cache
 
-(* Look a membership's group index up in the shared cache.  The returned
-   flag is true when the index had to be built *call-locally* (cache miss
-   with memoization off): such an index is private to the caller, so the
-   caller may memoize sub-structures on it even from a worker domain.
+(* A membership's group index: the group's once-cell in the shared cache.
    Entries from an earlier epoch are misses: a quarantine retry or a
    degraded re-run must never probe a structure [open_tick] has not
    revalidated for the current unit array. *)
-let group_index (ctx : indexed_ctx) (st : eval_stats) ~(memoize : bool) (m : membership) :
-    built_index * bool =
-  match Hashtbl.find_opt ctx.cache m.group.group_id with
-  | Some bi when bi.epoch = ctx.epoch -> (bi, false)
-  | Some _ | None ->
-    let bi = build_index ~epoch:ctx.epoch ?cols:!(ctx.ctx_cols) st ~group:m.group ~data:!(ctx.ctx_units) in
-    if memoize then Hashtbl.replace ctx.cache m.group.group_id bi;
-    (bi, not memoize)
+let group_index (ctx : indexed_ctx) (st : eval_stats) (m : membership) : built_index =
+  let slot = ctx.cache.(m.group.group_id) in
+  let lookup () =
+    match Atomic.get slot with
+    | Some bi when bi.epoch = ctx.epoch -> Some bi
+    | Some _ | None -> None
+  in
+  match lookup () with
+  | Some bi -> bi
+  | None ->
+    once ctx.lock ~lookup
+      ~publish:(fun bi -> Atomic.set slot (Some bi))
+      ~build:(fun () ->
+        build_index st ~lock:ctx.lock ~epoch:ctx.epoch ~cols:!(ctx.ctx_cols) ~group:m.group
+          ~data:!(ctx.ctx_units))
 
-(* One evaluator over a (possibly shared) context.  With [memoize:false]
-   the evaluator never writes into shared index state: cache misses build
-   call-local structures instead.  Family members run with [memoize:false]
-   so every shared structure they touch was published by [prebuild] before
-   the domains forked. *)
-let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(memoize : bool)
+(* One evaluator over a (possibly shared) context.  Every member of a
+   family may run on its own domain: the context's once-cells make each
+   shared structure come into existence exactly once, whichever lane
+   probes it first. *)
+let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats)
     ~(begin_tick : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit) : t =
   let schema = ctx.ctx_schema in
   let aggregates = ctx.ctx_aggregates in
@@ -915,9 +948,8 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
         rows
     | Agg_plan.Indexed _ as strategy ->
       let membership = Option.get ctx.memberships.(agg_id) in
-      let bi, local = group_index ctx stats ~memoize membership in
-      eval_indexed_batch stats ~tel ~memoize:(memoize || local) ~strategy ~agg ~membership ~bi
-        ~rows ~rands
+      let bi = group_index ctx stats membership in
+      eval_indexed_batch stats ~tel ~strategy ~agg ~membership ~bi ~rows ~rands
   in
   (* Area-of-effect combination (Section 5.4): swap the roles of u and e so
      contributors become the data set and affected units the probers, then
@@ -1028,18 +1060,16 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
                    ~rands:prands)
             | Agg_plan.Indexed { access; stats_exprs; _ } ->
               (* a fresh single-instance group over the contributor set;
-                 the index is call-local, so memoizing on it is safe from
-                 any domain *)
-              let cat_attrs, box_attrs, data_filter = group_signature access in
-              let g =
-                { group_id = -1; cat_attrs; box_attrs; data_filter; stats_exprs = []; n_stats = 0;
-                  g_reuses = group_reuse_counter (-1) }
-              in
+                 the index is call-local, so it gets a lock of its own *)
+              let g = new_group ~group_id:(-1) (group_signature access) in
               let membership = join_group g stats_exprs in
-              let bi = build_index stats ~group:g ~data:contributors in
+              let bi =
+                build_index stats ~lock:(Mutex.create ()) ~epoch:0 ~cols:None ~group:g
+                  ~data:contributors
+              in
               contribute
-                (eval_indexed_batch stats ~tel:aoe_tel ~memoize:true ~strategy ~agg ~membership
-                   ~bi ~rows:probers ~rands:prands))
+                (eval_indexed_batch stats ~tel:aoe_tel ~strategy ~agg ~membership ~bi
+                   ~rows:probers ~rands:prands))
           plans
       end
     end
@@ -1049,57 +1079,11 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
 let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () : t =
   let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
   let stats = fresh_stats () in
-  indexed_member ctx ~name:"indexed" ~stats ~memoize:true
+  indexed_member ctx ~name:"indexed" ~stats
     ~begin_tick:(fun ?delta ?cols e -> open_tick ctx stats ?delta ?cols e)
 
 (* ------------------------------------------------------------------ *)
-(* Families: the parallel decision phase's snapshot discipline *)
-
-(* Force every index structure any member could reach this tick, so that
-   once the domains fork the shared context is read-only.  Mirrors the
-   reachability analysis in [eval_indexed_batch]: group indexes and their
-   categorical partitions always; per-partition divisible / enumeration /
-   kD structures according to the strategy's components (the single-sweep
-   extremal case runs the sweep-line per batch and touches no lazy
-   per-partition structure). *)
-let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
-  Array.iteri
-    (fun agg_id m_opt ->
-      match m_opt with
-      | None -> ()
-      | Some m -> begin
-        match ctx.strategies.(agg_id) with
-        | Agg_plan.Uniform | Agg_plan.Naive_only _ -> ()
-        | Agg_plan.Indexed { components; sweep; enumerate; _ } ->
-          let bi, _ = group_index ctx st ~memoize:true m in
-          let single_sweep =
-            match (sweep, components) with
-            | Some _, [ Agg_plan.C_extremal _ ] -> true
-            | _ -> false
-          in
-          List.iter
-            (fun key ->
-              match Cat_index.find bi.cat key with
-              | None -> ()
-              | Some sub ->
-                List.iter
-                  (fun comp ->
-                    match comp with
-                    | Agg_plan.C_divisible _ ->
-                      if enumerate then ignore (ensure_enum_tree ~memoize:true st bi sub)
-                      else ignore (ensure_divisible ~memoize:true st bi sub)
-                    | Agg_plan.C_extremal _ ->
-                      if not single_sweep then ignore (ensure_enum_tree ~memoize:true st bi sub)
-                    | Agg_plan.C_nearest { kind } -> begin
-                      match kind with
-                      | Aggregate.Nearest { ex = Expr.EAttr exa; ey = Expr.EAttr eya; _ } ->
-                        ignore (ensure_kd ~memoize:true st bi ~ex:exa ~ey:eya sub)
-                      | _ -> ()
-                    end)
-                  components)
-            (Cat_index.partition_keys bi.cat)
-      end)
-    ctx.memberships
+(* Families: one context, one member per lane *)
 
 type family = {
   members : t array;
@@ -1109,21 +1093,14 @@ type family = {
 let indexed_family ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     ~(chunks : int) () : family =
   let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  (* A single-member family never has two domains over the context at
-     once, so it may memoize like the sequential evaluator; only genuinely
-     multi-domain families need the write-free guarantee. *)
-  let solo = max 1 chunks = 1 in
   let members =
     Array.init (max 1 chunks) (fun i ->
         indexed_member ctx
           ~name:(Printf.sprintf "indexed#%d" i)
-          ~stats:(fresh_stats ()) ~memoize:solo
+          ~stats:(fresh_stats ())
           ~begin_tick:(fun ?delta:_ ?cols:_ _ -> ()))
   in
-  let prepare ?delta ?cols units =
-    open_tick ctx members.(0).stats ?delta ?cols units;
-    prebuild ctx members.(0).stats
-  in
+  let prepare ?delta ?cols units = open_tick ctx members.(0).stats ?delta ?cols units in
   { members; prepare }
 
 (* ------------------------------------------------------------------ *)
@@ -1132,11 +1109,11 @@ let indexed_family ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate
    The group assignment in [make_indexed_ctx] is deterministic, so
    rebuilding a context here recovers exactly the instance -> group
    mapping the running evaluator used, and registration-by-name makes
-   [agg_tel]/[group_reuse_counter] return the very handles the evaluator
+   [agg_tel]/[new_group] return the very handles the evaluator
    has been bumping.  The report therefore shows the *chosen* access path
    next to how it actually answered: prefix-aggregate lookups vs.
    enumerations vs. sweeps vs. uniform sharing, rows touched, and what
-   the cross-tick cache reused per group. *)
+   each group built and what the cross-tick cache reused. *)
 
 let pp_attr_list ppf attrs = Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) attrs
 
@@ -1208,9 +1185,10 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
               | _ -> n)
             0 ctx.memberships
         in
-        Fmt.pf ppf "    group %d: cat=%a box=%a members=%d stat_columns=%d cache_reuses=%d@."
+        Fmt.pf ppf
+          "    group %d: cat=%a box=%a members=%d stat_columns=%d builds=%d cache_reuses=%d@."
           g.group_id pp_attr_list g.cat_attrs pp_attr_list g.box_attrs members g.n_stats
-          (Telemetry.Counter.value g.g_reuses))
+          (Telemetry.Counter.value g.g_builds) (Telemetry.Counter.value g.g_reuses))
       groups
   end;
   let b = Telemetry.Histogram.snapshot tel_build_hist in

@@ -51,19 +51,19 @@ val indexed : ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> 
 
 (** A family of indexed evaluators over one shared per-tick index cache,
     for the parallel decision phase: one member per chunk of the unit
-    array, each safe to drive from its own domain *after* [prepare] has
-    run on the coordinating domain.
+    array, each safe to drive from its own domain once [prepare] has run
+    on the coordinating domain.
 
-    [prepare ?delta units] publishes the tick's snapshot: it opens the
-    tick on the shared cache (revalidating against [delta] when given,
-    dropping everything otherwise), then eagerly builds every index
-    structure any member could reach (group indexes, categorical
-    partitions, divisible / enumeration / kD sub-structures), so the
-    members' queries never write shared state.  Multi-member families are
-    constructed memoization-free: should a structure somehow be missed,
-    they rebuild it call-locally rather than racing to publish it.  A
-    single-member family memoizes like the sequential evaluator — only
-    concurrent members need the write-free guarantee. *)
+    [prepare ?delta ?cols units] opens the tick on the shared cache
+    exactly as the sequential evaluator's [begin_tick] does: it
+    revalidates cached structures against [delta] when given and drops
+    them otherwise.  It builds nothing.  Members then build what their
+    probes touch, lazily: every index structure is a once-cell, built by
+    whichever lane reaches it first under the context's lock and published
+    exactly once.  A family therefore builds the same structures as
+    {!indexed} over the same ticks, whatever the number of members.  The
+    exception is the area-effect contributor index: it is call-local to
+    one [apply_aoe], so each lane holding contributors builds its own. *)
 type family = {
   members : t array;
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;

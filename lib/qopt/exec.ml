@@ -228,8 +228,8 @@ type outcome =
 (* The lanes.  A sequential engine runs one evaluator inline over the
    groups as given.  A parallel engine cuts the unit array into one
    contiguous chunk per family member; lane [k] runs the intersection of
-   every group with chunk [k] on the pool, probing the read-only snapshot
-   [family.prepare] just published, and the lane bags fold in chunk order
+   every group with chunk [k] on the pool, probing the index cache
+   [family.prepare] just opened, and the lane bags fold in chunk order
    with the accumulator-level (+), whose associativity and commutativity
    make the result independent of the chunking — so any chunk count,
    including 1, reproduces the sequential tick bit-for-bit on integral

@@ -83,8 +83,9 @@ type group_fault = {
     Ticks are bit-identical with or without it.
 
     A [Par] engine splits the unit array into one contiguous chunk per
-    family member, evaluates each chunk against the read-only index
-    snapshot published by [family.prepare], and folds the per-chunk effect
+    family member, evaluates each chunk against the index cache
+    [family.prepare] opened (lanes build what they probe, each structure
+    once, under the cache's lock), and folds the per-chunk effect
     bags with the combination operator (+) in chunk order.  Because (+) is
     associative and commutative and the chunking is a pure function of
     [units], the result is independent of the chunk count and of domain

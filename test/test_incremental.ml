@@ -290,21 +290,53 @@ let rollback_discards_delta () =
       check_states ~msg:"post-rollback vs never-faulted" (sorted_units twin) (sorted_units sim))
 
 (* ------------------------------------------------------------------ *)
-(* Solo-family memoization: a single-domain parallel family has exactly one
-   member on one lane, so it is safe to memoize — and with the cache on it
-   must reuse structures across ticks like the plain indexed evaluator. *)
-let solo_family_memoizes () =
-  let baseline =
-    let sim = sentry_sim ~churn:5 ~n:120 Simulation.Naive in
-    Simulation.run sim ~ticks:30;
-    sorted_units sim
+(* One build discipline: every index structure is built on first use and
+   published once, whichever evaluator or lane probes it first.  A
+   parallel family must therefore build and reuse exactly what the
+   sequential indexed evaluator does over the same ticks, at any domain
+   count, and still land on the naive states.
+
+   Builds are compared net of the area-effect contributor indexes (the
+   [group.-1.builds] counter): those are call-local to one [apply_aoe]
+   over one lane's contributors, so a battle with healer auras builds one
+   per lane that holds a healer.  The sentry scenario has no area
+   effects, so there the comparison covers every build. *)
+let parallel_builds_what_indexed_builds () =
+  let aoe_builds = Telemetry.counter "group.-1.builds" in
+  let check ~(name : string) ~(ticks : int) (make_sim : Simulation.evaluator_kind -> Simulation.t)
+      =
+    let run evaluator =
+      let was_enabled = Telemetry.enabled () in
+      Telemetry.reset ();
+      Telemetry.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Telemetry.set_enabled was_enabled)
+        (fun () ->
+          let sim = make_sim evaluator in
+          Simulation.run sim ~ticks;
+          let r = Simulation.report sim in
+          (sim, r.Simulation.index_builds - Telemetry.Counter.value aoe_builds, r))
+    in
+    let baseline =
+      let sim, _, _ = run Simulation.Naive in
+      sorted_units sim
+    in
+    let _, indexed_builds, indexed = run Simulation.Indexed in
+    List.iter
+      (fun domains ->
+        let sim, builds, r = run (Simulation.Parallel { domains }) in
+        let msg what = Fmt.str "%s, parallel:%d: %s" name domains what in
+        Alcotest.(check int) (msg "group index builds = indexed") indexed_builds builds;
+        Alcotest.(check int) (msg "index_reuses = indexed") indexed.Simulation.index_reuses
+          r.Simulation.index_reuses;
+        Alcotest.(check bool) (msg "reused cached structures") true (r.Simulation.index_reuses > 0);
+        check_states ~msg:(msg "vs naive") baseline (sorted_units sim))
+      [ 1; 2; 3 ]
   in
-  let sim = sentry_sim ~churn:5 ~n:120 (Simulation.Parallel { domains = 1 }) in
-  Simulation.run sim ~ticks:30;
-  let r = Simulation.report sim in
-  Alcotest.(check bool) "solo family reused cached structures" true
-    (r.Simulation.index_reuses > 0);
-  check_states ~msg:"parallel:1 cached vs naive" baseline (sorted_units sim)
+  check ~name:"sentry" ~ticks:30 (fun evaluator -> sentry_sim ~churn:5 ~n:120 evaluator);
+  check ~name:"battle" ~ticks:30 (fun evaluator ->
+      let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 40) () in
+      Scenario.simulation ~seed:11 ~evaluator scenario)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: randomized churn against the naive evaluator *)
@@ -348,7 +380,7 @@ let suite =
         tc "quarantine parity: cache on = cache off" `Quick quarantine_cache_parity;
         tc "rollback discards the pending delta" `Quick rollback_discards_delta;
       ] );
-    ( "incremental.memoization",
-      [ tc "solo parallel family memoizes and reuses" `Quick solo_family_memoizes ] );
+    ( "incremental.builds",
+      [ tc "parallel builds what indexed builds" `Quick parallel_builds_what_indexed_builds ] );
     ("incremental.fuzz", [ QCheck_alcotest.to_alcotest fuzz_churn ]);
   ]

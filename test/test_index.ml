@@ -387,14 +387,13 @@ let test_cat_index_partitions () =
         Array.length members)
   in
   Alcotest.(check int) "6 partitions" 6 (Cat_index.partition_count t);
-  Alcotest.(check int) "lazy" 0 !built;
+  Alcotest.(check int) "one build per partition, in create" 6 !built;
   (match Cat_index.find t [ 0; 0 ] with
   | Some n -> Alcotest.(check int) "partition size" 4 n (* ids 0,6,12,18 *)
   | None -> Alcotest.fail "partition missing");
-  ignore (Cat_index.find t [ 0; 0 ]);
-  Alcotest.(check int) "cached" 1 !built;
   let others = Cat_index.find_matching t ~accept:(fun k -> List.hd k <> 0) in
   Alcotest.(check int) "odd partitions" 3 (List.length others);
+  Alcotest.(check int) "lookups never build" 6 !built;
   Alcotest.(check int) "missing partition" 0 (Array.length (Cat_index.members t [ 9; 9 ]));
   Alcotest.(check bool) "missing find" true (Cat_index.find t [ 9; 9 ] = None)
 
@@ -412,7 +411,6 @@ let test_cat_index_empty () =
   Alcotest.(check int) "members empty" 0 (Array.length (Cat_index.members t [ 0 ]));
   Alcotest.(check int) "nothing matches" 0
     (List.length (Cat_index.find_matching t ~accept:(fun _ -> true)));
-  Cat_index.iter_built (fun _ _ -> Alcotest.fail "nothing was built") t;
   Alcotest.(check int) "builder never ran" 0 !built
 
 let test_cat_index_single () =
@@ -464,7 +462,7 @@ let suite =
     ("index.sweepline", [ qtest sweep_min; qtest sweep_max ]);
     ( "index.cat_index",
       [
-        tc "partitions, laziness, caching" `Quick test_cat_index_partitions;
+        tc "partitions built in create" `Quick test_cat_index_partitions;
         tc "empty input" `Quick test_cat_index_empty;
         tc "single element" `Quick test_cat_index_single;
       ] );

@@ -139,6 +139,7 @@ module Json = struct
   let num = function Num f -> f | _ -> raise (Bad "expected number")
   let bool_ = function Bool b -> b | _ -> raise (Bad "expected bool")
   let arr = function Arr l -> l | _ -> raise (Bad "expected array")
+  let str = function Str s -> s | _ -> raise (Bad "expected string")
 end
 
 (* ------------------------------------------------------------------ *)
@@ -425,6 +426,7 @@ let prometheus_well_formed (body : string) : unit =
 let http_smoke () =
   let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 20) () in
   let sim = Scenario.simulation ~seed:9 ~evaluator:Simulation.Indexed scenario in
+  let initial_units = Array.length (Simulation.units sim) in
   let live = Live.create ~flight_capacity:32 ~sim ~prog:(Scripts.compile ()) () in
   Fun.protect
     ~finally:(fun () -> Live.stop live)
@@ -443,7 +445,22 @@ let http_smoke () =
       let j = Json.parse body in
       Alcotest.(check bool) "ready" true (Json.bool_ (Json.member "ready" j));
       Alcotest.(check int) "health tick" 12 (int_of_float (Json.num (Json.member "tick" j)));
-      Alcotest.(check int) "no anomaly flags" 0 (List.length (Json.arr (Json.member "flags" j)));
+      let flags = List.map Json.str (Json.arr (Json.member "flags" j)) in
+      (* the deterministic flags: neither depends on wall-clock time *)
+      List.iter
+        (fun flag ->
+          Alcotest.(check bool) (flag ^ " not raised") false (List.mem flag flags))
+        [ "population_collapse"; "index_reuse_rate_drop" ];
+      (* the served flags are [Health]'s verdict on the paused run (the
+         tick-time flag's thresholds are pinned by [health_tick_time]) *)
+      let peak_units =
+        List.fold_left
+          (fun peak (s : Flight.sample) -> max peak s.Simulation.s_units)
+          initial_units
+          (Flight.tail (Live.flight live))
+      in
+      Alcotest.(check (list string)) "flags = Health.assess on the paused sim"
+        (Health.assess ~sim ~flight:(Live.flight live) ~peak_units).Health.flags flags;
       (* /metrics *)
       let status, headers, body = http_get port "/metrics" in
       Alcotest.(check int) "metrics status" 200 status;
@@ -494,6 +511,31 @@ let http_smoke () =
       Alcotest.(check int) "404 fallback" 404 status)
 
 (* ------------------------------------------------------------------ *)
+(* The tick-time flag over synthetic samples: the recent p99 must clear
+   both 10x the run's median and the 5 ms floor. *)
+
+let health_tick_time () =
+  let recent tick_s =
+    List.map (fun i -> { (mk_sample i) with Simulation.s_tick_s = tick_s }) [ 1; 2; 3 ]
+  in
+  let raised ~tick_s ~baseline_p50_s =
+    List.mem "tick_time_p99_degraded"
+      (Health.judge ~recent:(recent tick_s) ~baseline_p50_s ~overall_reuses:0 ~overall_builds:0
+         ~peak_units:0)
+        .Health.flags
+  in
+  Alcotest.(check bool) "20x the median, above the floor" true
+    (raised ~tick_s:0.1 ~baseline_p50_s:0.005);
+  Alcotest.(check bool) "8x the median, above the floor" false
+    (raised ~tick_s:0.08 ~baseline_p50_s:0.01);
+  Alcotest.(check bool) "40x the median, below the floor" false
+    (raised ~tick_s:0.004 ~baseline_p50_s:0.0001);
+  Alcotest.(check bool) "not ready without samples" false
+    (Health.judge ~recent:[] ~baseline_p50_s:0.001 ~overall_reuses:0 ~overall_builds:0
+       ~peak_units:0)
+      .Health.ready
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   let tc = Alcotest.test_case in
@@ -509,5 +551,6 @@ let suite =
       ] );
     ( "obs.differential",
       [ tc "bit-identical with obs on" `Slow obs_is_invisible ] );
+    ("obs.health", [ tc "tick-time flag thresholds" `Quick health_tick_time ]);
     ("obs.http", [ tc "every endpoint live" `Quick http_smoke ]);
   ]
