@@ -65,7 +65,7 @@ let demotion = function
 
 (* Global mirror in the ambient registry (gated, off by default) so
    --metrics output carries rollbacks next to the evaluator counters; the
-   per-simulation registry below is the report's source of truth. *)
+   simulation's ledger totals are the report's source of truth. *)
 let tel_rollbacks = Telemetry.counter "sim.rollbacks"
 
 (* Durable-state telemetry (ambient registry, gated like the rest). *)
@@ -93,19 +93,11 @@ type persistence = {
   mutable p_journal : Journal.writer option;
 }
 
-type timings = {
-  decision : Timer.t; (* includes index building; see evaluator stats *)
-  post : Timer.t;
-  movement : Timer.t;
-  death : Timer.t;
-}
-
-(* What one committed tick did, as deltas against the previous commit.
-   Handed to the observer (the flight recorder) right after the
-   durability hooks, so a sample describes exactly the state a crash
-   would recover to.  Everything here is derived from state the engine
-   already tracks; the digest is the only extra per-tick cost, and it is
-   computed only when an observer is installed. *)
+(* What one committed tick did: the published form of the step's ledger
+   entry (below), handed to the observer (the flight recorder) right
+   after the durability hooks, so a sample describes exactly the state a
+   crash would recover to.  Built only while an observer is installed,
+   because its digest is the one extra per-tick cost. *)
 type tick_sample = {
   s_tick : int;
   s_units : int;
@@ -125,6 +117,81 @@ type tick_sample = {
   s_index_reuses : int;
   s_evaluator : string; (* evaluator that committed the tick *)
 }
+
+(* The engine's per-tick bookkeeping.  An entry is what one step's
+   attempts did: phase wall-clock, engine counters and the evaluator's
+   work.  A simulation's totals are the sum of the entries it has folded
+   in: one per committed tick, plus the faults, rollbacks and work of a
+   step whose policy re-raised.  [report], the journal's cumulative
+   counts, the checkpoint counters and the live /metrics are views of the
+   totals; a [tick_sample] is a view of one entry. *)
+module Ledger = struct
+  type t = {
+    decision_s : float; (* includes index building; see [build_s] *)
+    post_s : float;
+    movement_s : float;
+    death_s : float;
+    deaths : int;
+    resurrections : int;
+    faults : int; (* faults observed (the bounded log may drop some) *)
+    rollbacks : int; (* snapshot restores after a fault *)
+    retries : int; (* tick retries performed by Degrade, one per demotion *)
+    suppressed : int; (* secondary failures hidden by a re-raise *)
+    index_builds : int;
+    index_reuses : int;
+    index_probes : int;
+    naive_scans : int;
+    uniform_hits : int;
+    build_s : float;
+  }
+
+  let zero =
+    { decision_s = 0.; post_s = 0.; movement_s = 0.; death_s = 0.; deaths = 0; resurrections = 0;
+      faults = 0; rollbacks = 0; retries = 0; suppressed = 0; index_builds = 0; index_reuses = 0;
+      index_probes = 0; naive_scans = 0; uniform_hits = 0; build_s = 0. }
+
+  let add a b =
+    {
+      decision_s = a.decision_s +. b.decision_s;
+      post_s = a.post_s +. b.post_s;
+      movement_s = a.movement_s +. b.movement_s;
+      death_s = a.death_s +. b.death_s;
+      deaths = a.deaths + b.deaths;
+      resurrections = a.resurrections + b.resurrections;
+      faults = a.faults + b.faults;
+      rollbacks = a.rollbacks + b.rollbacks;
+      retries = a.retries + b.retries;
+      suppressed = a.suppressed + b.suppressed;
+      index_builds = a.index_builds + b.index_builds;
+      index_reuses = a.index_reuses + b.index_reuses;
+      index_probes = a.index_probes + b.index_probes;
+      naive_scans = a.naive_scans + b.naive_scans;
+      uniform_hits = a.uniform_hits + b.uniform_hits;
+      build_s = a.build_s +. b.build_s;
+    }
+
+  let charge_phase e (phase : Fault.phase) (dt : float) =
+    match phase with
+    | Fault.Decision -> { e with decision_s = e.decision_s +. dt }
+    | Fault.Post -> { e with post_s = e.post_s +. dt }
+    | Fault.Movement -> { e with movement_s = e.movement_s +. dt }
+    | Fault.Death -> { e with death_s = e.death_s +. dt }
+
+  (* Charge the evaluator work done since [before], an earlier read of the
+     same engine's counters. *)
+  let charge_eval e ~(before : t) (s : Eval.eval_stats) =
+    {
+      e with
+      index_builds = e.index_builds + s.Eval.index_builds - before.index_builds;
+      index_reuses = e.index_reuses + s.Eval.index_reuses - before.index_reuses;
+      index_probes = e.index_probes + s.Eval.index_probes - before.index_probes;
+      naive_scans = e.naive_scans + s.Eval.naive_scans - before.naive_scans;
+      uniform_hits = e.uniform_hits + s.Eval.uniform_hits - before.uniform_hits;
+      build_s = e.build_s +. s.Eval.build_seconds -. before.build_s;
+    }
+
+  let of_eval (s : Eval.eval_stats) = charge_eval zero ~before:zero s
+end
 
 type t = {
   config : config;
@@ -156,20 +223,14 @@ type t = {
      restore; a missing or stale entry falls back to a full pass. *)
   mutable digest_cache : (int * Codec.digest_cache) option;
   mutable tick : int;
-  timings : timings;
-  (* The per-simulation telemetry registry: always enabled, private to
-     this simulation, the single source of truth for the report's engine
-     counters.  Counters (not mutable fields) so the transactional tick
-     can snapshot/restore them with [Counter.value]/[Counter.set] and so
-     they read uniformly with the ambient registry's metrics. *)
-  tel : Telemetry.Registry.t;
-  c_deaths : Telemetry.counter;
-  c_resurrections : Telemetry.counter;
-  c_retries : Telemetry.counter; (* tick retries performed by Degrade *)
-  c_rollbacks : Telemetry.counter; (* snapshot restores after a fault *)
-  c_faults : Telemetry.counter; (* faults observed (log may drop some) *)
-  c_suppressed : Telemetry.counter; (* secondary failures hidden by a re-raise *)
-  h_tick_s : Telemetry.histogram; (* per-tick wall-clock, feeds report percentiles *)
+  (* The running sum of ledger entries.  Immutable and swapped whole, so
+     a reader on another thread sees one consistent set of counters. *)
+  mutable totals : Ledger.t;
+  (* Per-step wall-clock, retries and durability hooks included; feeds
+     the report's percentiles.  Locked: a live endpoint reads it from
+     its own thread. *)
+  tick_seconds : Stats.t;
+  tick_lock : Mutex.t;
   (* The per-commit observer (None by default).  The engine never depends
      on what it does; nothing it can reach feeds back into unit state, so
      runs are bit-identical with and without one installed. *)
@@ -179,7 +240,6 @@ type t = {
   mutable phase : Fault.phase; (* the phase currently executing, for context *)
   mutable quarantined : string list; (* script groups excluded from future ticks *)
   mutable degradations : (int * string * string) list; (* tick, from, to *)
-  mutable retired_stats : Eval.eval_stats; (* totals of engines retired by demotion *)
   mutable persist : persistence option; (* armed by [checkpoint_every] *)
 }
 
@@ -213,7 +273,6 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     (config : config) ~(evaluator : evaluator_kind) ~(units : Tuple.t array) : t =
   let schema = config.prog.Core_ir.schema in
   let aggregates = config.prog.Core_ir.aggregates in
-  let tel = Telemetry.Registry.create ~enabled:true () in
   (* Interval facts for the optimizer's guard pruning.  Untrusted ranges:
      folding decisions must hold on any store, declared contracts or not.
      The cross-evaluator conformance harness and V002 validation (which
@@ -236,23 +295,14 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     pending_delta = None;
     digest_cache = None;
     tick = 0;
-    timings =
-      { decision = Timer.create (); post = Timer.create (); movement = Timer.create ();
-        death = Timer.create () };
-    tel;
-    c_deaths = Telemetry.Registry.counter tel "sim.deaths";
-    c_resurrections = Telemetry.Registry.counter tel "sim.resurrections";
-    c_retries = Telemetry.Registry.counter tel "sim.retries";
-    c_rollbacks = Telemetry.Registry.counter tel "sim.rollbacks";
-    c_faults = Telemetry.Registry.counter tel "sim.faults";
-    c_suppressed = Telemetry.Registry.counter tel "sim.suppressed";
-    h_tick_s = Telemetry.Registry.histogram tel "sim.tick_seconds";
+    totals = Ledger.zero;
+    tick_seconds = Stats.create ();
+    tick_lock = Mutex.create ();
     observer = None;
     fault_log = Fault.Log.create ~capacity:fault_log_capacity ();
     phase = Fault.Decision;
     quarantined = [];
     degradations = [];
-    retired_stats = Eval.fresh_stats ();
     persist = None;
   }
 
@@ -286,34 +336,28 @@ let groups (t : t) : Exec.group list =
 (* ------------------------------------------------------------------ *)
 (* Fault bookkeeping *)
 
-let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
-  dst.Eval.index_builds <- dst.Eval.index_builds + src.Eval.index_builds;
-  dst.Eval.index_probes <- dst.Eval.index_probes + src.Eval.index_probes;
-  dst.Eval.naive_scans <- dst.Eval.naive_scans + src.Eval.naive_scans;
-  dst.Eval.uniform_hits <- dst.Eval.uniform_hits + src.Eval.uniform_hits;
-  dst.Eval.index_reuses <- dst.Eval.index_reuses + src.Eval.index_reuses;
-  dst.Eval.build_seconds <- dst.Eval.build_seconds +. src.Eval.build_seconds
-
+(* The live engine's evaluator counters ([Par]: summed over the family). *)
 let engine_stats = function
   | Exec.Seq evaluator | Exec.Fus { evaluator; _ } -> evaluator.Eval.stats
   | Exec.Par { family; _ } -> Eval.family_stats family
 
-let quarantine (t : t) (gf : Exec.group_fault) : unit =
+let quarantine (t : t) (entry : Ledger.t ref) (gf : Exec.group_fault) : unit =
   if not (List.mem gf.Exec.gf_script t.quarantined) then
     t.quarantined <- t.quarantined @ [ gf.Exec.gf_script ];
-  Telemetry.Counter.incr t.c_faults;
-  Telemetry.Counter.add t.c_suppressed gf.Exec.gf_suppressed;
+  entry :=
+    { !entry with
+      faults = !entry.faults + 1;
+      suppressed = !entry.suppressed + gf.Exec.gf_suppressed };
   Telemetry.Span.instant ~cat:"fault" "quarantine";
   Fault.Log.push t.fault_log
     (Fault.make ~tick:t.tick ~phase:Fault.Decision ~script:gf.Exec.gf_script
        ~evaluator:(evaluator_name t.evaluator) ~suppressed:gf.Exec.gf_suppressed gf.Exec.gf_exn
        gf.Exec.gf_backtrace)
 
-(* Demote to the next-weaker evaluator, retiring the current engine's
-   counters so the report stays cumulative across the whole run. *)
+(* Demote to the next-weaker evaluator.  The retired engine's work is
+   already charged to the step's ledger entry, attempt by attempt. *)
 let demote (t : t) (weaker : evaluator_kind) : unit =
   Telemetry.Span.instant ~cat:"fault" "demote";
-  add_stats t.retired_stats (engine_stats t.engine);
   t.degradations <-
     t.degradations @ [ (t.tick, evaluator_name t.evaluator, evaluator_name weaker) ];
   let schema = t.config.prog.Core_ir.schema in
@@ -329,12 +373,12 @@ let demote (t : t) (weaker : evaluator_kind) : unit =
    absent: they describe work done, not simulation state. *)
 let counter_snapshot (t : t) : (string * int) list =
   [
-    ("deaths", Telemetry.Counter.value t.c_deaths);
-    ("resurrections", Telemetry.Counter.value t.c_resurrections);
-    ("faults", Telemetry.Counter.value t.c_faults);
-    ("retries", Telemetry.Counter.value t.c_retries);
-    ("rollbacks", Telemetry.Counter.value t.c_rollbacks);
-    ("suppressed", Telemetry.Counter.value t.c_suppressed);
+    ("deaths", t.totals.Ledger.deaths);
+    ("resurrections", t.totals.Ledger.resurrections);
+    ("faults", t.totals.Ledger.faults);
+    ("retries", t.totals.Ledger.retries);
+    ("rollbacks", t.totals.Ledger.rollbacks);
+    ("suppressed", t.totals.Ledger.suppressed);
   ]
 
 let state_of (t : t) : Checkpoint.state =
@@ -410,8 +454,8 @@ let journal_commit (t : t) (p : persistence) : unit =
         Journal.j_tick = t.tick;
         j_units = Array.length t.units;
         j_digest = state_digest t;
-        j_deaths = Telemetry.Counter.value t.c_deaths;
-        j_resurrections = Telemetry.Counter.value t.c_resurrections;
+        j_deaths = t.totals.Ledger.deaths;
+        j_resurrections = t.totals.Ledger.resurrections;
         j_structural = structural;
         j_dirty_attrs = dirty_attrs;
         j_dirty_keys = dirty_keys;
@@ -422,14 +466,33 @@ let journal_commit (t : t) (p : persistence) : unit =
 (* ------------------------------------------------------------------ *)
 (* The tick *)
 
+let seconds_since (t0 : int64) : float = Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e9
+
+(* Run one phase inside its span, charging its wall-clock to the step's
+   entry whether it returns or raises: a failed attempt's time still
+   counts. *)
+let timed_phase (t : t) (entry : Ledger.t ref) (phase : Fault.phase) (f : unit -> 'a) : 'a =
+  t.phase <- phase;
+  Telemetry.Span.with_ ~cat:"phase" (Fault.phase_name phase) @@ fun () ->
+  let t0 = Timer.now_ns () in
+  match f () with
+  | result ->
+    entry := Ledger.charge_phase !entry phase (seconds_since t0);
+    result
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    entry := Ledger.charge_phase !entry phase (seconds_since t0);
+    Printexc.raise_with_backtrace exn bt
+
 (* One attempt at the tick's phases.  Raises whatever a phase raises; on
-   success [t.units] holds the post-tick state and the tick counter has
-   advanced.  Crucially for the transactional wrapper in [step], nothing
-   here mutates the pre-tick state: plans work on full-width row copies,
+   success [t.units] holds the post-tick state, the tick counter has
+   advanced and [entry] carries the tick's deaths and resurrections.
+   Crucially for the transactional wrapper in [step], nothing here
+   mutates the pre-tick state: plans work on full-width row copies,
    post-processing copies every row before updating it, movement and
    resurrection mutate only those copies, and [t.units] is swapped as the
    last action of the attempt. *)
-let run_phases (t : t) : unit =
+let run_phases (t : t) (entry : Ledger.t ref) : unit =
   let sch = schema t in
   let tick = t.tick in
   let rand_for ~key i = Prng.script_random t.prng ~tick ~key i in
@@ -450,22 +513,18 @@ let run_phases (t : t) : unit =
   (* decision + action; under [Quarantine_script] every group runs
      isolated, so a failing one contributes an empty effect bag this tick
      and is excluded from future ones *)
-  t.phase <- Fault.Decision;
   let acc =
-    Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
-    Timer.record t.timings.decision (fun () ->
+    timed_phase t entry Fault.Decision (fun () ->
         let acc, faults =
           Exec.execute ?delta:delta_in ?cols t.compiled t.engine
             ~isolate:(t.policy = Quarantine_script) ~units:t.units ~groups:(groups t) ~rand_for
         in
-        List.iter (quarantine t) faults;
+        List.iter (quarantine t entry) faults;
         acc)
   in
   (* post-processing *)
-  t.phase <- Fault.Post;
   let results =
-    Telemetry.Span.with_ ~cat:"phase" "post" @@ fun () ->
-    Timer.record t.timings.post (fun () ->
+    timed_phase t entry Fault.Post (fun () ->
         Postprocess.apply ?delta:delta_out t.config.postprocess ~schema:sch ~rand_for
           ~units:t.units ~acc)
   in
@@ -475,10 +534,8 @@ let run_phases (t : t) : unit =
     results;
   let alive_units = Varray.to_array alive in
   (* movement over the survivors *)
-  t.phase <- Fault.Movement;
   let grid =
-    Telemetry.Span.with_ ~cat:"phase" "movement" @@ fun () ->
-    Timer.record t.timings.movement (fun () ->
+    timed_phase t entry Fault.Movement (fun () ->
         Option.map
           (fun mconfig ->
             Movement.run ?delta:delta_out mconfig ~schema:sch ~prng:t.prng ~tick
@@ -486,16 +543,11 @@ let run_phases (t : t) : unit =
           t.config.movement)
   in
   (* death handling *)
-  t.phase <- Fault.Death;
-  let final =
-    Telemetry.Span.with_ ~cat:"phase" "death" @@ fun () ->
-    Timer.record t.timings.death (fun () ->
+  let final, revived =
+    timed_phase t entry Fault.Death (fun () ->
         match t.config.death with
-        | Remove ->
-          Telemetry.Counter.add t.c_deaths (Varray.length dead);
-          alive_units
+        | Remove -> (alive_units, 0)
         | Resurrect { health; max_health } ->
-          Telemetry.Counter.add t.c_deaths (Varray.length dead);
           let revived =
             Array.map
               (fun row ->
@@ -516,11 +568,10 @@ let run_phases (t : t) : unit =
                   | None -> ()
                 end
                 | _ -> ());
-                Telemetry.Counter.incr t.c_resurrections;
                 out)
               (Varray.to_array dead)
           in
-          Array.append alive_units revived)
+          (Array.append alive_units revived, Array.length revived))
   in
   (* Any death reorders or re-populates the array, so positional data ids
      stop naming the same units: structural.  (Resurrection also rewrites
@@ -533,101 +584,42 @@ let run_phases (t : t) : unit =
      leaves the mirror on the pre-tick state the rollback restores. *)
   Colstore.refresh ?delta:delta_out t.store final;
   t.pending_delta <- delta_out;
-  t.tick <- t.tick + 1
+  t.tick <- t.tick + 1;
+  (* last: a rollback never has deaths to take back *)
+  entry := { !entry with deaths = Varray.length dead; resurrections = revived }
 
-(* Transactional tick.  The pre-tick state is three references — the unit
-   array (whose rows no phase mutates in place; see [run_phases]) and two
-   counters — so the snapshot is O(1) and the fault-free path pays only
-   the exception handler.  On a fault: restore the snapshot, log the fault
+(* Transactional tick.  The pre-tick state is the unit array (whose rows
+   no phase mutates in place; see [run_phases]); the step's counters live
+   in its own ledger entry and reach the totals only when the step ends,
+   so the snapshot is O(1) and the fault-free path pays only the
+   exception handler.  On a fault: restore the snapshot, log the fault
    with full context, then apply the policy.  [Degrade] retries the tick
    under the next-weaker evaluator; since every PRNG draw is keyed by
    [~tick ~key], the retry is bit-identical to a healthy run of that
    evaluator. *)
-(* Cumulative evaluator statistics across demotions: retired engines'
-   totals plus the live engine's. *)
-let cumulative_stats (t : t) : Eval.eval_stats =
-  let s = Eval.fresh_stats () in
-  add_stats s t.retired_stats;
-  add_stats s (engine_stats t.engine);
-  s
-
-(* Counter values and cumulative timings captured before a step, so the
-   observer's sample can report per-tick deltas. *)
-type pre_step = {
-  pre_deaths : int;
-  pre_resurrections : int;
-  pre_faults : int;
-  pre_rollbacks : int;
-  pre_retries : int;
-  pre_demotions : int;
-  pre_decision_s : float;
-  pre_post_s : float;
-  pre_movement_s : float;
-  pre_death_s : float;
-  pre_builds : int;
-  pre_reuses : int;
-}
-
-let pre_step_of (t : t) : pre_step =
-  let s = cumulative_stats t in
-  {
-    pre_deaths = Telemetry.Counter.value t.c_deaths;
-    pre_resurrections = Telemetry.Counter.value t.c_resurrections;
-    pre_faults = Telemetry.Counter.value t.c_faults;
-    pre_rollbacks = Telemetry.Counter.value t.c_rollbacks;
-    pre_retries = Telemetry.Counter.value t.c_retries;
-    pre_demotions = List.length t.degradations;
-    pre_decision_s = Timer.elapsed t.timings.decision;
-    pre_post_s = Timer.elapsed t.timings.post;
-    pre_movement_s = Timer.elapsed t.timings.movement;
-    pre_death_s = Timer.elapsed t.timings.death;
-    pre_builds = s.Eval.index_builds;
-    pre_reuses = s.Eval.index_reuses;
-  }
-
-let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
-  let s = cumulative_stats t in
-  {
-    s_tick = t.tick;
-    s_units = Array.length t.units;
-    s_digest = state_digest t;
-    s_tick_s = tick_s;
-    s_decision_s = Timer.elapsed t.timings.decision -. pre.pre_decision_s;
-    s_post_s = Timer.elapsed t.timings.post -. pre.pre_post_s;
-    s_movement_s = Timer.elapsed t.timings.movement -. pre.pre_movement_s;
-    s_death_s = Timer.elapsed t.timings.death -. pre.pre_death_s;
-    s_deaths = Telemetry.Counter.value t.c_deaths - pre.pre_deaths;
-    s_resurrections = Telemetry.Counter.value t.c_resurrections - pre.pre_resurrections;
-    s_faults = Telemetry.Counter.value t.c_faults - pre.pre_faults;
-    s_rollbacks = Telemetry.Counter.value t.c_rollbacks - pre.pre_rollbacks;
-    s_retries = Telemetry.Counter.value t.c_retries - pre.pre_retries;
-    s_demotions = List.length t.degradations - pre.pre_demotions;
-    s_index_builds = s.Eval.index_builds - pre.pre_builds;
-    s_index_reuses = s.Eval.index_reuses - pre.pre_reuses;
-    s_evaluator = evaluator_name t.evaluator;
-  }
-
 let step (t : t) : unit =
-  (* Captured before the attempt so the observer (if any) can report
-     per-tick deltas; [pre] costs nothing when no observer is installed. *)
   let t_start = Timer.now_ns () in
-  let pre = match t.observer with None -> None | Some _ -> Some (pre_step_of t) in
-  let units0 = t.units
-  and deaths0 = Telemetry.Counter.value t.c_deaths
-  and resurrections0 = Telemetry.Counter.value t.c_resurrections in
+  let units0 = t.units in
+  let entry = ref Ledger.zero in
   let rec attempt () =
-    let phases () =
+    let engine = t.engine in
+    let before = Ledger.of_eval (engine_stats engine) in
+    let outcome =
       (* The tick's root span; the per-tick name is built only when the
          tracer is on, so the disabled path stays allocation-free. *)
-      if Telemetry.Span.enabled () then
-        Telemetry.Span.with_ ~cat:"sim" (Printf.sprintf "tick:%d" t.tick) (fun () ->
-            run_phases t)
-      else run_phases t
+      match
+        if Telemetry.Span.enabled () then
+          Telemetry.Span.with_ ~cat:"sim" (Printf.sprintf "tick:%d" t.tick) (fun () ->
+              run_phases t entry)
+        else run_phases t entry
+      with
+      | () -> None
+      | exception exn -> Some (exn, Printexc.get_raw_backtrace ())
     in
-    match phases () with
-    | () -> ()
-    | exception exn ->
-      let bt = Printexc.get_raw_backtrace () in
+    entry := Ledger.charge_eval !entry ~before (engine_stats engine);
+    match outcome with
+    | None -> ()
+    | Some (exn, bt) ->
       let suppressed =
         match t.engine with
         | Exec.Par { pool; _ } -> Domain_pool.suppressed_failures pool
@@ -638,8 +630,6 @@ let step (t : t) : unit =
           ~suppressed exn bt
       in
       Fault.Log.push t.fault_log fault;
-      Telemetry.Counter.incr t.c_faults;
-      Telemetry.Counter.add t.c_suppressed suppressed;
       Telemetry.Span.instant ~cat:"fault" "rollback";
       t.units <- units0;
       (* Swap the mirror's column pointers back to the restored state.
@@ -647,11 +637,11 @@ let step (t : t) : unit =
          never reached the commit refresh), but it also repairs a refresh
          that itself faulted half-way. *)
       Colstore.refresh t.store units0;
-      (* [set] writes through the enabled gate: the snapshot restore must
-         happen whatever the registry state, like the field writes did. *)
-      Telemetry.Counter.set t.c_deaths deaths0;
-      Telemetry.Counter.set t.c_resurrections resurrections0;
-      Telemetry.Counter.incr t.c_rollbacks;
+      entry :=
+        { !entry with
+          faults = !entry.faults + 1;
+          suppressed = !entry.suppressed + suppressed;
+          rollbacks = !entry.rollbacks + 1 };
       Telemetry.Counter.incr tel_rollbacks;
       (* The failed attempt's mutations were undone, so its delta (and the
          one it consumed) no longer describe reality: the retry — and the
@@ -659,7 +649,12 @@ let step (t : t) : unit =
          cold.  The epoch stamp makes any structure the failed attempt
          left behind read as a miss. *)
       t.pending_delta <- None;
-      let fail () = Printexc.raise_with_backtrace (Fault.Error fault) bt in
+      let fail () =
+        (* no tick commits, but the step's faults, rollbacks and work
+           happened *)
+        t.totals <- Ledger.add t.totals !entry;
+        Printexc.raise_with_backtrace (Fault.Error fault) bt
+      in
       (match t.policy with
       | Fail -> fail ()
       | Quarantine_script ->
@@ -671,11 +666,15 @@ let step (t : t) : unit =
         | None -> fail ()
         | Some weaker ->
           demote t weaker;
-          Telemetry.Counter.incr t.c_retries;
+          entry := { !entry with retries = !entry.retries + 1 };
           attempt ()
       end)
   in
   attempt ();
+  let entry = !entry in
+  (* The totals advance at commit, before the journal record that carries
+     the cumulative deaths. *)
+  t.totals <- Ledger.add t.totals entry;
   (* Durability hooks run only for a committed tick: a failed attempt was
      rolled back before the policy re-raised, so the journal never sees a
      state the simulation did not keep. *)
@@ -684,14 +683,34 @@ let step (t : t) : unit =
   | Some p ->
     journal_commit t p;
     if p.p_every > 0 && t.tick - p.p_base >= p.p_every then checkpoint_now t);
-  let tick_s = Int64.to_float (Int64.sub (Timer.now_ns ()) t_start) /. 1e9 in
-  Telemetry.Histogram.observe t.h_tick_s tick_s;
+  let tick_s = seconds_since t_start in
+  Mutex.protect t.tick_lock (fun () -> Stats.add t.tick_seconds tick_s);
   (* The observer runs last, after the durability hooks: its sample
      describes a tick the journal has already committed, so a flight
      record never gets ahead of recoverable state. *)
-  match (t.observer, pre) with
-  | Some f, Some pre -> f (sample_of t pre ~tick_s)
-  | _ -> ()
+  match t.observer with
+  | None -> ()
+  | Some f ->
+    f
+      {
+        s_tick = t.tick;
+        s_units = Array.length t.units;
+        s_digest = state_digest t;
+        s_tick_s = tick_s;
+        s_decision_s = entry.Ledger.decision_s;
+        s_post_s = entry.Ledger.post_s;
+        s_movement_s = entry.Ledger.movement_s;
+        s_death_s = entry.Ledger.death_s;
+        s_deaths = entry.Ledger.deaths;
+        s_resurrections = entry.Ledger.resurrections;
+        s_faults = entry.Ledger.faults;
+        s_rollbacks = entry.Ledger.rollbacks;
+        s_retries = entry.Ledger.retries;
+        s_demotions = entry.Ledger.retries;
+        s_index_builds = entry.Ledger.index_builds;
+        s_index_reuses = entry.Ledger.index_reuses;
+        s_evaluator = evaluator_name t.evaluator;
+      }
 
 let run (t : t) ~(ticks : int) : unit =
   (* Fix the target tick up front: [step] can grow or shrink [t.units]
@@ -754,17 +773,19 @@ let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
       t.tick <- st.Checkpoint.tick;
       t.quarantined <- st.Checkpoint.quarantined;
       t.degradations <- st.Checkpoint.degradations;
-      let set_counter name c =
-        match List.assoc_opt name st.Checkpoint.counters with
-        | Some v -> Telemetry.Counter.set c v
-        | None -> ()
+      let counter name =
+        Option.value ~default:0 (List.assoc_opt name st.Checkpoint.counters)
       in
-      set_counter "deaths" t.c_deaths;
-      set_counter "resurrections" t.c_resurrections;
-      set_counter "faults" t.c_faults;
-      set_counter "retries" t.c_retries;
-      set_counter "rollbacks" t.c_rollbacks;
-      set_counter "suppressed" t.c_suppressed;
+      t.totals <-
+        {
+          Ledger.zero with
+          deaths = counter "deaths";
+          resurrections = counter "resurrections";
+          faults = counter "faults";
+          retries = counter "retries";
+          rollbacks = counter "rollbacks";
+          suppressed = counter "suppressed";
+        };
       (* Replay the journal chain: every journal whose base is at or after
          the loaded generation, oldest first.  The chain exists because
          rotation happens at checkpoint time — journal [base=B] covers
@@ -781,8 +802,8 @@ let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
       let verify (e : Journal.entry) =
         if Array.length t.units <> e.Journal.j_units
            || Codec.units_digest t.units <> e.Journal.j_digest
-           || Telemetry.Counter.value t.c_deaths <> e.Journal.j_deaths
-           || Telemetry.Counter.value t.c_resurrections <> e.Journal.j_resurrections
+           || t.totals.Ledger.deaths <> e.Journal.j_deaths
+           || t.totals.Ledger.resurrections <> e.Journal.j_resurrections
         then
           error :=
             Some
@@ -859,21 +880,20 @@ type report = {
   suppressed : int; (* secondary failures hidden behind re-raised ones *)
   quarantined : string list;
   degradations : (int * string * string) list; (* tick, from, to *)
-  tick_p50_s : float; (* per-tick wall-clock percentiles (sim.tick_seconds) *)
+  tick_p50_s : float; (* per-step wall-clock percentiles ([tick_seconds]) *)
   tick_p90_s : float;
   tick_p99_s : float;
 }
 
 let faults (t : t) : Fault.t list = Fault.Log.to_list t.fault_log
-let fault_count (t : t) : int = Telemetry.Counter.value t.c_faults
+let fault_count (t : t) : int = t.totals.Ledger.faults
 let quarantined_scripts (t : t) : string list = t.quarantined
 let degradations (t : t) : (int * string * string) list = t.degradations
-let retries (t : t) : int = Telemetry.Counter.value t.c_retries
+let retries (t : t) : int = t.totals.Ledger.retries
 let current_evaluator (t : t) : evaluator_kind = t.evaluator
 
-(* The per-simulation registry, for archiving next to the ambient
-   registry's metrics or asserting on engine counters in tests. *)
-let telemetry (t : t) : Telemetry.Registry.t = t.tel
+let tick_seconds (t : t) : Telemetry.histogram_snapshot =
+  Mutex.protect t.tick_lock (fun () -> Telemetry.summarize t.tick_seconds)
 
 (* Install (or remove) the per-commit observer.  Single slot: the flight
    recorder composes the fan-out itself. *)
@@ -885,32 +905,28 @@ let set_observer (t : t) (f : (tick_sample -> unit) option) : unit = t.observer 
 let last_delta (t : t) : Delta.t option = t.pending_delta
 
 let report (t : t) : report =
-  let s = cumulative_stats t in
-  let ts = Telemetry.Histogram.snapshot t.h_tick_s in
-  let decision_s = Timer.elapsed t.timings.decision in
-  let post_s = Timer.elapsed t.timings.post in
-  let movement_s = Timer.elapsed t.timings.movement in
-  let death_s = Timer.elapsed t.timings.death in
+  let l = t.totals in
+  let ts = tick_seconds t in
   {
     ticks = t.tick;
     n_units = Array.length t.units;
-    decision_s;
-    build_s = s.Eval.build_seconds;
-    post_s;
-    movement_s;
-    death_s;
-    total_s = decision_s +. post_s +. movement_s +. death_s;
-    index_builds = s.Eval.index_builds;
-    index_probes = s.Eval.index_probes;
-    naive_scans = s.Eval.naive_scans;
-    uniform_hits = s.Eval.uniform_hits;
-    index_reuses = s.Eval.index_reuses;
-    deaths = Telemetry.Counter.value t.c_deaths;
-    resurrections = Telemetry.Counter.value t.c_resurrections;
-    faults = Telemetry.Counter.value t.c_faults;
-    retries = Telemetry.Counter.value t.c_retries;
-    rollbacks = Telemetry.Counter.value t.c_rollbacks;
-    suppressed = Telemetry.Counter.value t.c_suppressed;
+    decision_s = l.Ledger.decision_s;
+    build_s = l.Ledger.build_s;
+    post_s = l.Ledger.post_s;
+    movement_s = l.Ledger.movement_s;
+    death_s = l.Ledger.death_s;
+    total_s = l.Ledger.decision_s +. l.Ledger.post_s +. l.Ledger.movement_s +. l.Ledger.death_s;
+    index_builds = l.Ledger.index_builds;
+    index_probes = l.Ledger.index_probes;
+    naive_scans = l.Ledger.naive_scans;
+    uniform_hits = l.Ledger.uniform_hits;
+    index_reuses = l.Ledger.index_reuses;
+    deaths = l.Ledger.deaths;
+    resurrections = l.Ledger.resurrections;
+    faults = l.Ledger.faults;
+    retries = l.Ledger.retries;
+    rollbacks = l.Ledger.rollbacks;
+    suppressed = l.Ledger.suppressed;
     quarantined = t.quarantined;
     degradations = t.degradations;
     tick_p50_s = ts.Telemetry.p50;

@@ -173,17 +173,19 @@ val retries : t -> int
     at {!create} after a degradation). *)
 val current_evaluator : t -> evaluator_kind
 
-(** The simulation's private, always-enabled telemetry registry: the
-    source of truth behind the engine counters of {!report}
-    ([sim.deaths], [sim.resurrections], [sim.retries], [sim.rollbacks],
-    [sim.faults], [sim.suppressed]).  Independent of the ambient
-    {!Sgl_util.Telemetry.default}, so concurrent simulations never mix
-    counts. *)
-val telemetry : t -> Telemetry.Registry.t
+(** Per-step wall-clock seconds (retries and durability hooks included)
+    over every tick this simulation committed; the source of
+    {!report}'s percentiles.  Safe to call from another thread. *)
+val tick_seconds : t -> Telemetry.histogram_snapshot
 
 (** What one committed tick did, as deltas against the previous commit:
     population, state digest, wall-clock per phase, engine-counter and
-    index-statistic deltas, and the evaluator that committed it. *)
+    index-statistic deltas, and the evaluator that committed it.  It is
+    the published form of the step's ledger entry, the one record the
+    engine keeps per tick: {!report} and the journal's cumulative counts
+    are sums of these entries.  Phase seconds and counters include every
+    attempt of the step (a [Degrade] retry's failed attempt too);
+    [s_demotions] equals [s_retries]. *)
 type tick_sample = {
   s_tick : int;
   s_units : int;
@@ -205,12 +207,13 @@ type tick_sample = {
 }
 
 (** [set_observer t (Some f)] calls [f] with a {!tick_sample} after each
-    committed tick, once the durability hooks have run — so a sample
-    never describes state a crash could lose beyond the last journal
-    record.  The observer cannot reach unit state, so simulations are
-    bit-identical with and without one ({!Sgl_obs} pins that with a
-    differential).  Per-tick digests are only computed while an observer
-    is installed; [set_observer t None] removes it. *)
+    committed tick, once the totals have advanced and the durability
+    hooks have run — so a sample never describes state a crash could lose
+    beyond the last journal record.  The observer cannot reach unit
+    state, so simulations are bit-identical with and without one
+    ({!Sgl_obs} pins that with a differential).  Samples and their
+    digests are only built while an observer is installed;
+    [set_observer t None] removes it. *)
 val set_observer : t -> (tick_sample -> unit) option -> unit
 
 (** The delta summary the last committed tick recorded ([None] before the
@@ -219,13 +222,13 @@ val set_observer : t -> (tick_sample -> unit) option -> unit
     computes between unit snapshots. *)
 val last_delta : t -> Delta.t option
 
-type timings = {
-  decision : Timer.t;
-  post : Timer.t;
-  movement : Timer.t;
-  death : Timer.t;
-}
-
+(** The run so far, read from the simulation's ledger totals: the sum of
+    every committed tick's entry, plus the faults, rollbacks and work of
+    any step that re-raised under its policy.  Over committed ticks alone
+    (no step re-raised), every counter and phase time is exactly the sum
+    of the {!tick_sample}s an observer received.  Totals restored from a
+    checkpoint carry only the deterministic counters (deaths,
+    resurrections, faults, retries, rollbacks, suppressed). *)
 type report = {
   ticks : int;
   n_units : int;
@@ -255,8 +258,8 @@ type report = {
   quarantined : string list;
   degradations : (int * string * string) list;
   tick_p50_s : float;
-      (** per-tick wall-clock percentiles from the always-on
-          [sim.tick_seconds] histogram ({!Sgl_util.Stats.percentile}) *)
+      (** per-step wall-clock percentiles from {!tick_seconds}
+          ({!Sgl_util.Stats.percentile}) *)
   tick_p90_s : float;
   tick_p99_s : float;
 }

@@ -34,40 +34,20 @@ let version = 1
 
 type t = {
   capacity : int;
-  buf : sample array; (* slot [i mod capacity]; dummy-filled until written *)
+  mutable buf : sample array; (* slot [i mod capacity]; allocated by the first [record] *)
   lock : Mutex.t;
   mutable total : int; (* samples ever recorded *)
 }
 
-let dummy : sample =
-  {
-    Simulation.s_tick = -1;
-    s_units = 0;
-    s_digest = 0;
-    s_tick_s = 0.;
-    s_decision_s = 0.;
-    s_post_s = 0.;
-    s_movement_s = 0.;
-    s_death_s = 0.;
-    s_deaths = 0;
-    s_resurrections = 0;
-    s_faults = 0;
-    s_rollbacks = 0;
-    s_retries = 0;
-    s_demotions = 0;
-    s_index_builds = 0;
-    s_index_reuses = 0;
-    s_evaluator = "";
-  }
-
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Flight.create: capacity must be positive";
-  { capacity; buf = Array.make capacity dummy; lock = Mutex.create (); total = 0 }
+  { capacity; buf = [||]; lock = Mutex.create (); total = 0 }
 
 let capacity t = t.capacity
 
 let record t (s : sample) : unit =
   Mutex.lock t.lock;
+  if t.total = 0 then t.buf <- Array.make t.capacity s;
   t.buf.(t.total mod t.capacity) <- s;
   t.total <- t.total + 1;
   Mutex.unlock t.lock

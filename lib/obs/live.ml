@@ -9,10 +9,11 @@
    - the /query snapshot is an [Atomic.t] holding the committed unit
      array, which the engine never mutates after commit (the next tick
      swaps in fresh copies), so scanning it lock-free is safe;
-   - registry counters are atomics, histogram shards are mutexed, and
-     [Simulation.report]'s remaining reads are single-word fields of
-     immutable values — a racy read sees a slightly stale but
-     well-formed value, which is all a diagnostics port needs.
+   - [Simulation.report] reads the ledger totals, an immutable record the
+     engine swaps whole at commit, and the tick-seconds accumulator under
+     its lock; the ambient registry's counters are atomics and its
+     histogram shards are mutexed — a racy read sees a slightly stale
+     but well-formed value, which is all a diagnostics port needs.
 
    Nothing the observer or any handler touches can reach unit state or a
    PRNG, so runs are bit-identical with observability on or off; the
@@ -92,12 +93,26 @@ let report_json (t : t) : string =
        r.Simulation.rollbacks r.Simulation.suppressed
        (String.concat ", " (List.map Telemetry.json_string r.Simulation.quarantined))
        (List.length r.Simulation.degradations));
-  Buffer.add_string b "  \"sim\": ";
-  Buffer.add_string b (String.trim (Telemetry.Registry.to_json (Simulation.telemetry t.sim)));
-  Buffer.add_string b ",\n  \"ambient\": ";
+  Buffer.add_string b "  \"ambient\": ";
   Buffer.add_string b (String.trim (Telemetry.Registry.to_json Telemetry.default));
   Buffer.add_string b "\n}\n";
   Buffer.contents b
+
+(* The simulation's ledger totals as [registry="sim"] rows, listed in
+   name order like a registry's, so scrapers see one stable layout. *)
+let sim_rows (t : t) : Prometheus.row list =
+  let r = Simulation.report t.sim in
+  let row name value = { Prometheus.name; registry = "sim"; value } in
+  let counter name v = row name (Prometheus.Counter v) in
+  [
+    counter "sim.deaths" r.Simulation.deaths;
+    counter "sim.faults" r.Simulation.faults;
+    counter "sim.resurrections" r.Simulation.resurrections;
+    counter "sim.retries" r.Simulation.retries;
+    counter "sim.rollbacks" r.Simulation.rollbacks;
+    counter "sim.suppressed" r.Simulation.suppressed;
+    row "sim.tick_seconds" (Prometheus.Summary (Simulation.tick_seconds t.sim));
+  ]
 
 let explain_text (t : t) : string =
   Eval.explain ~schema:t.prog.Core_ir.schema ~aggregates:t.prog.Core_ir.aggregates ()
@@ -112,8 +127,7 @@ let handler (t : t) : Server.handler =
       Server.status = 200;
       content_type = Prometheus.content_type;
       body =
-        Prometheus.render
-          [ ("ambient", Telemetry.default); ("sim", Simulation.telemetry t.sim) ];
+        Prometheus.render (Prometheus.registry_rows "ambient" Telemetry.default @ sim_rows t);
     }
   | "/stats" -> json 200 (report_json t)
   | "/ticks" ->

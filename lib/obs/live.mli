@@ -2,7 +2,7 @@
     the per-commit observer (flight recorder, optional streaming dump
     sink, committed-tick query snapshot) and serves the six diagnostic
     endpoints — [/metrics] (Prometheus), [/stats] (JSON report +
-    registries), [/ticks] (flight tail), [/explain] (live-annotated
+    ambient registry), [/ticks] (flight tail), [/explain] (live-annotated
     plans), [/health] (readiness + anomaly flags), [/query] (read-only
     SGL aggregate over the last committed tick). *)
 

@@ -1,10 +1,12 @@
-(* Prometheus text exposition (format 0.0.4) over telemetry registries.
+(* Prometheus text exposition (format 0.0.4) over metric rows.
 
-   Metric names are the registry's dotted names with non-alphanumerics
-   mapped to '_' and an "sgl_" prefix; the owning registry becomes a
-   [registry="..."] label, so the ambient process-wide registry and a
-   simulation's private one coexist in one scrape.  Histograms render as
-   summaries: the merge-exact log-bucket quantiles plus _sum/_count. *)
+   A row is a dotted metric name, the registry it belongs to and its
+   value; a telemetry registry lists as rows, and so do the simulation's
+   ledger totals.  Names have non-alphanumerics mapped to '_' and an
+   "sgl_" prefix; the registry becomes a [registry="..."] label, so the
+   ambient process-wide registry and the simulation's totals coexist in
+   one scrape.  Histograms render as summaries: the merge-exact
+   log-bucket quantiles plus _sum/_count. *)
 
 open Sgl_util
 
@@ -25,35 +27,37 @@ let render_float (v : float) : string =
   else if v = Float.neg_infinity then "-Inf"
   else Printf.sprintf "%.9g" v
 
-type row =
+type value =
   | Counter of int
   | Gauge of float
   | Summary of Telemetry.histogram_snapshot
 
+type row = { name : string; registry : string; value : value }
+
+let registry_rows (registry : string) (reg : Telemetry.Registry.t) : row list =
+  let row value name = { name; registry; value } in
+  List.map (fun (n, v) -> row (Counter v) n) (Telemetry.Registry.counters reg)
+  @ List.map (fun (n, v) -> row (Gauge v) n) (Telemetry.Registry.gauges reg)
+  @ List.map (fun (n, s) -> row (Summary s) n) (Telemetry.Registry.histograms reg)
+
 (* Group by metric name across registries so each # TYPE header appears
    exactly once, as the exposition format requires. *)
-let render (registries : (string * Telemetry.Registry.t) list) : string =
-  let rows : (string, (string * row) list ref) Hashtbl.t = Hashtbl.create 64 in
+let render (rows : row list) : string =
+  let by_name : (string, (string * value) list ref) Hashtbl.t = Hashtbl.create 64 in
   let order : string list ref = ref [] in
-  let push name label row =
-    match Hashtbl.find_opt rows name with
-    | Some cell -> cell := (label, row) :: !cell
-    | None ->
-      Hashtbl.add rows name (ref [ (label, row) ]);
-      order := name :: !order
-  in
   List.iter
-    (fun (label, reg) ->
-      List.iter (fun (n, v) -> push (metric_name n) label (Counter v)) (Telemetry.Registry.counters reg);
-      List.iter (fun (n, v) -> push (metric_name n) label (Gauge v)) (Telemetry.Registry.gauges reg);
-      List.iter
-        (fun (n, s) -> push (metric_name n) label (Summary s))
-        (Telemetry.Registry.histograms reg))
-    registries;
+    (fun { name; registry; value } ->
+      let name = metric_name name in
+      match Hashtbl.find_opt by_name name with
+      | Some cell -> cell := (registry, value) :: !cell
+      | None ->
+        Hashtbl.add by_name name (ref [ (registry, value) ]);
+        order := name :: !order)
+    rows;
   let b = Buffer.create 4096 in
   List.iter
     (fun name ->
-      let entries = List.rev !(Hashtbl.find rows name) in
+      let entries = List.rev !(Hashtbl.find by_name name) in
       let ty =
         match entries with
         | (_, Counter _) :: _ -> "counter"
@@ -63,8 +67,8 @@ let render (registries : (string * Telemetry.Registry.t) list) : string =
       in
       Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name ty);
       List.iter
-        (fun (label, row) ->
-          match row with
+        (fun (label, value) ->
+          match value with
           | Counter v -> Buffer.add_string b (Printf.sprintf "%s{registry=%S} %d\n" name label v)
           | Gauge v ->
             Buffer.add_string b (Printf.sprintf "%s{registry=%S} %s\n" name label (render_float v))

@@ -1,5 +1,6 @@
-(** Prometheus text exposition (format 0.0.4) over telemetry
-    registries. *)
+(** Prometheus text exposition (format 0.0.4) over metric rows: the
+    contents of telemetry registries, and any other source of counters
+    (the simulation's ledger totals). *)
 
 open Sgl_util
 
@@ -7,12 +8,24 @@ open Sgl_util
     to ['_']. *)
 val metric_name : string -> string
 
-(** [render [(label, registry); ...]] exposes every metric of every
-    registry, one [# TYPE] header per metric name, the owning registry
-    as a [registry="label"] label.  Counters and gauges map directly;
-    histograms render as summaries (quantiles 0.5/0.9/0.99 from
-    {!Sgl_util.Stats.percentile}, plus [_sum] and [_count]). *)
-val render : (string * Telemetry.Registry.t) list -> string
+type value =
+  | Counter of int
+  | Gauge of float
+  | Summary of Telemetry.histogram_snapshot
+
+(** One metric: its dotted name ([sim.deaths]), the registry it belongs
+    to (rendered as a [registry="..."] label), and its value. *)
+type row = { name : string; registry : string; value : value }
+
+(** Every metric of a registry, labelled [registry]: counters, then
+    gauges, then histograms, each sorted by name. *)
+val registry_rows : string -> Telemetry.Registry.t -> row list
+
+(** [render rows] exposes every row, one [# TYPE] header per metric name
+    (in order of first appearance).  Counters and gauges map directly;
+    summaries render quantiles 0.5/0.9/0.99 (from
+    {!Sgl_util.Stats.percentile}) plus [_sum] and [_count]. *)
+val render : row list -> string
 
 (** The Content-Type a scrape endpoint should serve. *)
 val content_type : string

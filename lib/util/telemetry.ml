@@ -76,6 +76,20 @@ module Gauge = struct
   let value (g : gauge) : float = Atomic.get g.g_cell
 end
 
+let summarize (acc : Stats.t) : histogram_snapshot =
+  let n = Stats.count acc in
+  {
+    count = n;
+    mean = (if n = 0 then 0. else Stats.mean acc);
+    stddev = Stats.stddev acc;
+    min = (if n = 0 then 0. else Stats.min_value acc);
+    max = (if n = 0 then 0. else Stats.max_value acc);
+    total = Stats.total acc;
+    p50 = (if n = 0 then 0. else Stats.percentile acc 0.50);
+    p90 = (if n = 0 then 0. else Stats.percentile acc 0.90);
+    p99 = (if n = 0 then 0. else Stats.percentile acc 0.99);
+  }
+
 module Histogram = struct
   let name (h : histogram) = h.h_name
 
@@ -96,18 +110,7 @@ module Histogram = struct
         Mutex.unlock lock;
         Stats.merge ~into:acc frozen)
       h.h_cells;
-    let n = Stats.count acc in
-    {
-      count = n;
-      mean = (if n = 0 then 0. else Stats.mean acc);
-      stddev = Stats.stddev acc;
-      min = (if n = 0 then 0. else Stats.min_value acc);
-      max = (if n = 0 then 0. else Stats.max_value acc);
-      total = Stats.total acc;
-      p50 = (if n = 0 then 0. else Stats.percentile acc 0.50);
-      p90 = (if n = 0 then 0. else Stats.percentile acc 0.90);
-      p99 = (if n = 0 then 0. else Stats.percentile acc 0.99);
-    }
+    summarize acc
 end
 
 (* ------------------------------------------------------------------ *)

@@ -26,6 +26,10 @@ type histogram_snapshot = {
   p99 : float;
 }
 
+(** Summarize one accumulator; every statistic is [0.] when it is
+    empty. *)
+val summarize : Stats.t -> histogram_snapshot
+
 module Counter : sig
   val name : counter -> string
 

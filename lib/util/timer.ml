@@ -42,14 +42,3 @@ let timed f =
   let t0 = now () in
   let result = f () in
   (result, now () -. t0)
-
-(* Accumulate the run time of [f] into [t] even if [f] raises. *)
-let record t f =
-  start t;
-  match f () with
-  | result ->
-    stop t;
-    result
-  | exception e ->
-    stop t;
-    raise e

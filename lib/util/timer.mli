@@ -18,9 +18,6 @@ val reset : t -> unit
 (** [timed f] is [(f (), seconds_taken)]. *)
 val timed : (unit -> 'a) -> 'a * float
 
-(** [record t f] accumulates the run time of [f] into [t]. *)
-val record : t -> (unit -> 'a) -> 'a
-
 (** Current monotonic time in seconds.  Only differences are meaningful:
     the epoch is arbitrary (typically boot time), but the value never jumps
     when the wall clock is adjusted. *)

@@ -1,10 +1,12 @@
 (* The observability layer: flight-recorder ring semantics, the
-   CRC-framed dump/load cycle (including torn files), counter-delta
-   correctness against the registry ground truth, the differential
-   guarantee (obs-on is bit-identical to obs-off), and an HTTP smoke
-   test that hits every live endpoint during a running battle and checks
-   the bodies actually parse. *)
+   CRC-framed dump/load cycle (including torn files), counter deltas
+   summing to the report (fault-free and on the fault paths), the
+   simulation's /metrics rows, the differential guarantee (obs-on is
+   bit-identical to obs-off), and an HTTP smoke test that hits every live
+   endpoint during a running battle and checks the bodies actually
+   parse. *)
 
+open Sgl_util
 open Sgl_relalg
 open Sgl_engine
 open Sgl_battle
@@ -278,43 +280,78 @@ let flight_json_parses () =
   Alcotest.(check int) "array length" 2 (List.length (Json.arr arr))
 
 (* ------------------------------------------------------------------ *)
-(* Counter deltas vs the registry ground truth *)
+(* Counter deltas vs the report *)
 
 (* Each sample carries per-tick deltas; summed over a full run they must
    reproduce the cumulative report exactly, and the digests must match
-   what the codec computes over the final committed units. *)
-let flight_counter_deltas () =
+   what the codec computes over the final committed units.  The fault
+   inputs cover the paths where a step's attempts span two engines (a
+   mid-run demotion) or where a group fault is absorbed without a
+   rollback (quarantine under the parallel executor). *)
+let deltas_sum_to_report ?(fault_policy = Simulation.Fail) ?inject ~evaluator () =
+  let label =
+    Simulation.evaluator_name evaluator ^ "/" ^ Simulation.fault_policy_name fault_policy
+  in
+  Fun.protect ~finally:Fault_inject.reset @@ fun () ->
+  Option.iter (fun (point, n) -> Fault_inject.arm ~point (Fault_inject.At_count n)) inject;
   let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 25) () in
-  let sim = Scenario.simulation ~seed:5 ~evaluator:Simulation.Indexed scenario in
+  let sim = Scenario.simulation ~seed:5 ~fault_policy ~evaluator scenario in
   let fl = Flight.create ~capacity:64 in
   Simulation.set_observer sim (Some (Flight.record fl));
   Simulation.run sim ~ticks:20;
   Simulation.set_observer sim None;
   let samples = Flight.tail fl in
-  Alcotest.(check int) "one sample per tick" 20 (List.length samples);
-  Alcotest.(check (list int)) "consecutive ticks"
+  Alcotest.(check int) (label ^ ": one sample per tick") 20 (List.length samples);
+  Alcotest.(check (list int)) (label ^ ": consecutive ticks")
     (List.init 20 (fun i -> i + 1))
     (ticks_of samples);
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 samples in
+  let sum_s f = List.fold_left (fun acc s -> acc +. f s) 0. samples in
   let r = Simulation.report sim in
-  Alcotest.(check int) "deaths" r.Simulation.deaths (sum (fun s -> s.Simulation.s_deaths));
-  Alcotest.(check int) "resurrections" r.Simulation.resurrections
-    (sum (fun s -> s.Simulation.s_resurrections));
-  Alcotest.(check int) "rollbacks" r.Simulation.rollbacks
-    (sum (fun s -> s.Simulation.s_rollbacks));
-  Alcotest.(check int) "retries" r.Simulation.retries (sum (fun s -> s.Simulation.s_retries));
-  Alcotest.(check int) "index builds" r.Simulation.index_builds
-    (sum (fun s -> s.Simulation.s_index_builds));
-  Alcotest.(check int) "index reuses" r.Simulation.index_reuses
-    (sum (fun s -> s.Simulation.s_index_reuses));
+  let check name expected f = Alcotest.(check int) (label ^ ": " ^ name) expected (sum f) in
+  check "deaths" r.Simulation.deaths (fun s -> s.Simulation.s_deaths);
+  check "resurrections" r.Simulation.resurrections (fun s -> s.Simulation.s_resurrections);
+  check "faults" r.Simulation.faults (fun s -> s.Simulation.s_faults);
+  check "rollbacks" r.Simulation.rollbacks (fun s -> s.Simulation.s_rollbacks);
+  check "retries" r.Simulation.retries (fun s -> s.Simulation.s_retries);
+  check "demotions" (List.length r.Simulation.degradations) (fun s -> s.Simulation.s_demotions);
+  check "index builds" r.Simulation.index_builds (fun s -> s.Simulation.s_index_builds);
+  check "index reuses" r.Simulation.index_reuses (fun s -> s.Simulation.s_index_reuses);
+  let check_s name expected f =
+    Alcotest.(check (float 1e-9)) (label ^ ": " ^ name) expected (sum_s f)
+  in
+  check_s "decision seconds" r.Simulation.decision_s (fun s -> s.Simulation.s_decision_s);
+  check_s "post seconds" r.Simulation.post_s (fun s -> s.Simulation.s_post_s);
+  check_s "movement seconds" r.Simulation.movement_s (fun s -> s.Simulation.s_movement_s);
+  check_s "death seconds" r.Simulation.death_s (fun s -> s.Simulation.s_death_s);
   (match Flight.last fl with
   | None -> Alcotest.fail "no samples"
   | Some s ->
-    Alcotest.(check int) "final digest"
+    Alcotest.(check int) (label ^ ": final digest")
       (Sgl_persist.Codec.units_digest (Simulation.units sim))
       s.Simulation.s_digest;
-    Alcotest.(check int) "final population" (Array.length (Simulation.units sim))
-      s.Simulation.s_units)
+    Alcotest.(check int) (label ^ ": final population") (Array.length (Simulation.units sim))
+      s.Simulation.s_units);
+  r
+
+let flight_counter_deltas () =
+  let r = deltas_sum_to_report ~evaluator:Simulation.Indexed () in
+  Alcotest.(check int) "fault-free" 0 r.Simulation.faults;
+  (* a kernel fault a few ticks in: the fused engine's work before the
+     demotion and the indexed engine's after it both reach the report *)
+  let r =
+    deltas_sum_to_report ~fault_policy:Simulation.Degrade ~inject:("fused.kernel", 40)
+      ~evaluator:Simulation.Fused ()
+  in
+  (match r.Simulation.degradations with
+  | [ (tick, "fused", "indexed") ] -> Alcotest.(check bool) "demoted mid-run" true (tick > 0)
+  | _ -> Alcotest.fail "expected one fused -> indexed demotion");
+  let r =
+    deltas_sum_to_report ~fault_policy:Simulation.Quarantine_script ~inject:("exec.group", 7)
+      ~evaluator:(Simulation.Parallel { domains = 2 }) ()
+  in
+  Alcotest.(check int) "one group quarantined" 1 (List.length r.Simulation.quarantined);
+  Alcotest.(check int) "quarantine does not roll back" 0 r.Simulation.rollbacks
 
 (* ------------------------------------------------------------------ *)
 (* The differential guarantee: full obs stack on vs everything off *)
@@ -480,7 +517,6 @@ let http_smoke () =
       let j = Json.parse body in
       Alcotest.(check int) "stats tick" 12 (int_of_float (Json.num (Json.member "tick" j)));
       ignore (Json.member "report" j);
-      ignore (Json.member "sim" j);
       ignore (Json.member "ambient" j);
       (* /ticks *)
       let status, _, body = http_get port "/ticks?n=5" in
@@ -509,6 +545,38 @@ let http_smoke () =
       (* unknown path *)
       let status, _, _ = http_get port "/nothing-here" in
       Alcotest.(check int) "404 fallback" 404 status)
+
+(* ------------------------------------------------------------------ *)
+(* /metrics renders the simulation's ledger totals as registry="sim" rows *)
+
+let metrics_sim_rows () =
+  let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 25) () in
+  let sim = Scenario.simulation ~seed:3 ~evaluator:Simulation.Indexed scenario in
+  let live = Live.create ~flight_capacity:32 ~sim ~prog:(Scripts.compile ()) () in
+  Fun.protect ~finally:(fun () -> Live.stop live) @@ fun () ->
+  Simulation.run sim ~ticks:20;
+  let body = (Live.handler live ~path:"/metrics" ~params:[]).Server.body in
+  prometheus_well_formed body;
+  let value name =
+    let prefix = name ^ "{registry=\"sim\"} " in
+    let n = String.length prefix in
+    match
+      List.find_opt
+        (fun line -> String.length line > n && String.sub line 0 n = prefix)
+        (String.split_on_char '\n' body)
+    with
+    | Some line -> int_of_string (String.sub line n (String.length line - n))
+    | None -> Alcotest.failf "/metrics has no %s row" name
+  in
+  let r = Simulation.report sim in
+  Alcotest.(check bool) "the battle had deaths" true (r.Simulation.deaths > 0);
+  Alcotest.(check int) "deaths" r.Simulation.deaths (value "sgl_sim_deaths");
+  Alcotest.(check int) "resurrections" r.Simulation.resurrections (value "sgl_sim_resurrections");
+  Alcotest.(check int) "rollbacks" r.Simulation.rollbacks (value "sgl_sim_rollbacks");
+  Alcotest.(check int) "faults" r.Simulation.faults (value "sgl_sim_faults");
+  Alcotest.(check int) "retries" r.Simulation.retries (value "sgl_sim_retries");
+  Alcotest.(check int) "suppressed" r.Simulation.suppressed (value "sgl_sim_suppressed");
+  Alcotest.(check int) "tick seconds count" 20 (value "sgl_sim_tick_seconds_count")
 
 (* ------------------------------------------------------------------ *)
 (* The tick-time flag over synthetic samples: the recent p99 must clear
@@ -547,10 +615,11 @@ let suite =
         tc "streaming sink" `Quick flight_sink_stream;
         tc "torn-file tolerance" `Quick flight_torn_tolerance;
         tc "sample json parses" `Quick flight_json_parses;
-        tc "counter deltas vs registry" `Quick flight_counter_deltas;
+        tc "counter deltas vs report" `Quick flight_counter_deltas;
       ] );
     ( "obs.differential",
       [ tc "bit-identical with obs on" `Slow obs_is_invisible ] );
     ("obs.health", [ tc "tick-time flag thresholds" `Quick health_tick_time ]);
     ("obs.http", [ tc "every endpoint live" `Quick http_smoke ]);
+    ("obs.metrics", [ tc "sim rows equal report" `Quick metrics_sim_rows ]);
   ]

@@ -207,20 +207,6 @@ let telemetry_is_invisible () =
   check_states ~msg:"spans vs off" baseline (run ~metrics:false ~spans:true ~explain:false);
   check_states ~msg:"explain vs off" baseline (run ~metrics:true ~spans:false ~explain:true)
 
-(* The per-simulation registry: report counters live in telemetry now, and
-   the two views must agree. *)
-let simulation_registry_mirrors_report () =
-  let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 25) () in
-  let sim = Scenario.simulation ~seed:3 ~evaluator:Simulation.Indexed scenario in
-  Simulation.run sim ~ticks:20;
-  let r = Simulation.report sim in
-  let counters = Telemetry.Registry.counters (Simulation.telemetry sim) in
-  let value name = try List.assoc name counters with Not_found -> -1 in
-  Alcotest.(check int) "sim.deaths" r.Simulation.deaths (value "sim.deaths");
-  Alcotest.(check int) "sim.resurrections" r.Simulation.resurrections (value "sim.resurrections");
-  Alcotest.(check int) "sim.rollbacks" r.Simulation.rollbacks (value "sim.rollbacks");
-  Alcotest.(check int) "sim.faults" (Simulation.fault_count sim) (value "sim.faults")
-
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -242,6 +228,5 @@ let suite =
     ( "telemetry.differential",
       [
         tc "bit-identical on/off/spans/explain" `Slow telemetry_is_invisible;
-        tc "sim registry mirrors report" `Quick simulation_registry_mirrors_report;
       ] );
   ]
