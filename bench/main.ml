@@ -854,7 +854,7 @@ let telemetry_bench () =
         | None -> ()
         | Some p ->
           let mp = p ^ ".metrics.json" in
-          Telemetry.Registry.write_json Telemetry.default ~path:mp;
+          Telemetry.write_json ~path:mp;
           pr "telemetry: metrics archived to %s@." mp)
   in
   let spans =
@@ -1215,12 +1215,12 @@ let persist_bench () =
     let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
     Simulation.detach_persistence sim;
     let counter name =
-      match List.assoc_opt name (Telemetry.Registry.counters Telemetry.default) with
+      match List.assoc_opt name (Telemetry.counters ()) with
       | Some v -> v
       | None -> 0
     in
     let ckpt =
-      match List.assoc_opt "persist.checkpoint_ns" (Telemetry.Registry.histograms Telemetry.default) with
+      match List.assoc_opt "persist.checkpoint_ns" (Telemetry.histograms ()) with
       | Some s -> s
       | None ->
         {

@@ -199,7 +199,7 @@ let run units ticks evaluator domains density seed optimize resurrect index_cach
     (match metrics with
     | None -> ()
     | Some path ->
-      Telemetry.Registry.write_json Telemetry.default ~path;
+      Telemetry.write_json ~path;
       Fmt.pr "metrics: written to %s@." path);
     match trace_spans with
     | None -> ()
@@ -356,8 +356,9 @@ let metrics_arg =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Enable the telemetry registry and write its counters, gauges and histograms as \
-              JSON to $(docv) after the run.")
+        ~doc:"Enable the telemetry registry and write its counters and histograms as JSON to \
+              $(docv) after the run.  The run's build, reuse, probe and scan totals are in the \
+              report, not in this file.")
 
 let trace_spans_arg =
   Arg.(

@@ -63,13 +63,8 @@ let demotion = function
   | Indexed -> Some Naive
   | Naive -> None
 
-(* Global mirror in the ambient registry (gated, off by default) so
-   --metrics output carries rollbacks next to the evaluator counters; the
-   simulation's ledger totals are the report's source of truth. *)
-let tel_rollbacks = Telemetry.counter "sim.rollbacks"
-
-(* Durable-state telemetry (ambient registry, gated like the rest). *)
-let tel_checkpoints = Telemetry.counter "persist.checkpoints"
+(* Durable-state telemetry (ambient registry, gated like the rest).  The
+   checkpoint histogram's count is the number of checkpoints written. *)
 let tel_journal_records = Telemetry.counter "persist.journal_records"
 let tel_journal_bytes = Telemetry.counter "persist.journal_bytes"
 let tel_recoveries = Telemetry.counter "persist.recoveries"
@@ -88,7 +83,6 @@ type persistence = {
   p_dir : string;
   p_every : int;
   p_fsync : bool;
-  p_keep : int;
   mutable p_base : int; (* tick of the newest durable checkpoint *)
   mutable p_journal : Journal.writer option;
 }
@@ -269,7 +263,7 @@ let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
         kernels = Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled;
       }
 
-let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = true)
+let create ?(fault_policy = Fail) ?(index_cache = true)
     (config : config) ~(evaluator : evaluator_kind) ~(units : Tuple.t array) : t =
   let schema = config.prog.Core_ir.schema in
   let aggregates = config.prog.Core_ir.aggregates in
@@ -299,7 +293,7 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     tick_seconds = Stats.create ();
     tick_lock = Mutex.create ();
     observer = None;
-    fault_log = Fault.Log.create ~capacity:fault_log_capacity ();
+    fault_log = Fault.Log.create ~capacity:64 ();
     phase = Fault.Decision;
     quarantined = [];
     degradations = [];
@@ -430,8 +424,7 @@ let checkpoint_now (t : t) : unit =
     Option.iter Journal.close p.p_journal;
     p.p_base <- t.tick;
     p.p_journal <- Some (Journal.create ~dir:p.p_dir ~base:t.tick ~fsync:p.p_fsync);
-    Checkpoint.prune ~dir:p.p_dir ~keep:p.p_keep;
-    Telemetry.Counter.incr tel_checkpoints;
+    Checkpoint.prune ~dir:p.p_dir ~keep:2;
     Telemetry.Histogram.observe tel_checkpoint_ns
       (Int64.to_float (Int64.sub (Timer.now_ns ()) t0))
 
@@ -642,7 +635,6 @@ let step (t : t) : unit =
           faults = !entry.faults + 1;
           suppressed = !entry.suppressed + suppressed;
           rollbacks = !entry.rollbacks + 1 };
-      Telemetry.Counter.incr tel_rollbacks;
       (* The failed attempt's mutations were undone, so its delta (and the
          one it consumed) no longer describe reality: the retry — and the
          tick after a policy absorbs the fault — must open the index cache
@@ -724,13 +716,13 @@ let run (t : t) ~(ticks : int) : unit =
 (* ------------------------------------------------------------------ *)
 (* Durable state: arming and recovery *)
 
-let checkpoint_every ?(fsync = true) ?(keep = 2) (t : t) ~(dir : string) ~(every : int) : unit =
+let checkpoint_every ?(fsync = true) (t : t) ~(dir : string) ~(every : int) : unit =
   (match t.persist with
   | Some p ->
     Option.iter Journal.close p.p_journal;
     p.p_journal <- None
   | None -> ());
-  t.persist <- Some { p_dir = dir; p_every = every; p_fsync = fsync; p_keep = keep;
+  t.persist <- Some { p_dir = dir; p_every = every; p_fsync = fsync;
                       p_base = t.tick; p_journal = None };
   (* an initial durable generation, so recovery always has a base *)
   checkpoint_now t
@@ -755,7 +747,7 @@ type restore_info = {
    pure function of (seed, tick, key, i), so the re-run is bit-identical
    to the crashed one — and each replayed tick is verified against the
    journaled fingerprint before the next is attempted. *)
-let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
+let restore ?fault_policy ?index_cache (config : config)
     ~(evaluator : evaluator_kind) ~(dir : string) : (t * restore_info, string) result =
   let schema = config.prog.Core_ir.schema in
   match Checkpoint.load_latest ~schema ~dir with
@@ -767,7 +759,7 @@ let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
            st.Checkpoint.seed config.seed)
     else begin
       let t =
-        create ?fault_policy ?fault_log_capacity ?index_cache config ~evaluator
+        create ?fault_policy ?index_cache config ~evaluator
           ~units:st.Checkpoint.units
       in
       t.tick <- st.Checkpoint.tick;

@@ -63,10 +63,10 @@ val fault_policy_name : fault_policy -> string
 
 type t
 
-(** [create ?fault_policy ?fault_log_capacity ?index_cache config
-    ~evaluator ~units] assembles a simulation.  [fault_policy]
-    defaults to [Fail]; [fault_log_capacity] bounds the in-memory fault
-    log (default 64 — later faults are counted but not retained).
+(** [create ?fault_policy ?index_cache config ~evaluator ~units]
+    assembles a simulation.  [fault_policy] defaults to [Fail].  The
+    in-memory fault log keeps the latest 64 faults; later ones are
+    counted but not retained.
     [index_cache] (default [true]) hands each tick's delta summary to the
     next tick's evaluator so index structures over untouched attributes
     survive across ticks; [false] restores rebuild-every-tick behaviour
@@ -78,7 +78,6 @@ type t
     run them without that per-group cost. *)
 val create :
   ?fault_policy:fault_policy ->
-  ?fault_log_capacity:int ->
   ?index_cache:bool ->
   config ->
   evaluator:evaluator_kind ->
@@ -108,15 +107,15 @@ val run : t -> ticks:int -> unit
     a pure function of (seed, tick, key, i) and evaluators are
     differentially pinned equal. *)
 
-(** [checkpoint_every ?fsync ?keep t ~dir ~every] arms persistence: an
+(** [checkpoint_every ?fsync t ~dir ~every] arms persistence: an
     initial checkpoint generation is written immediately, a journal record
     follows every committed tick, and a new generation is cut each [every]
     ticks ([0]: only the arming checkpoint; the journal still grows).
     [fsync] (default [true]) fsyncs every journal append and checkpoint;
-    [keep] (default 2) bounds retained generations.  Raises on I/O
+    the newest two generations are retained.  Raises on I/O
     failure, and propagates ["io.checkpoint.write"] /
     ["io.journal.append"] injections. *)
-val checkpoint_every : ?fsync:bool -> ?keep:int -> t -> dir:string -> every:int -> unit
+val checkpoint_every : ?fsync:bool -> t -> dir:string -> every:int -> unit
 
 (** Cut a checkpoint generation now (persistence must be armed). *)
 val checkpoint_now : t -> unit
@@ -149,7 +148,6 @@ type restore_info = {
     {!checkpoint_every} to resume durability. *)
 val restore :
   ?fault_policy:fault_policy ->
-  ?fault_log_capacity:int ->
   ?index_cache:bool ->
   config ->
   evaluator:evaluator_kind ->

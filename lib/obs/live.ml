@@ -94,7 +94,7 @@ let report_json (t : t) : string =
        (String.concat ", " (List.map Telemetry.json_string r.Simulation.quarantined))
        (List.length r.Simulation.degradations));
   Buffer.add_string b "  \"ambient\": ";
-  Buffer.add_string b (String.trim (Telemetry.Registry.to_json Telemetry.default));
+  Buffer.add_string b (String.trim (Telemetry.to_json ()));
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
@@ -107,11 +107,16 @@ let sim_rows (t : t) : Prometheus.row list =
   [
     counter "sim.deaths" r.Simulation.deaths;
     counter "sim.faults" r.Simulation.faults;
+    counter "sim.index_builds" r.Simulation.index_builds;
+    counter "sim.index_probes" r.Simulation.index_probes;
+    counter "sim.index_reuses" r.Simulation.index_reuses;
+    counter "sim.naive_scans" r.Simulation.naive_scans;
     counter "sim.resurrections" r.Simulation.resurrections;
     counter "sim.retries" r.Simulation.retries;
     counter "sim.rollbacks" r.Simulation.rollbacks;
     counter "sim.suppressed" r.Simulation.suppressed;
     row "sim.tick_seconds" (Prometheus.Summary (Simulation.tick_seconds t.sim));
+    counter "sim.uniform_hits" r.Simulation.uniform_hits;
   ]
 
 let explain_text (t : t) : string =
@@ -127,7 +132,7 @@ let handler (t : t) : Server.handler =
       Server.status = 200;
       content_type = Prometheus.content_type;
       body =
-        Prometheus.render (Prometheus.registry_rows "ambient" Telemetry.default @ sim_rows t);
+        Prometheus.render (Prometheus.ambient_rows () @ sim_rows t);
     }
   | "/stats" -> json 200 (report_json t)
   | "/ticks" ->

@@ -40,19 +40,16 @@ let fresh_stats () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry.
 
-   [eval_stats] stays the per-evaluator source of truth for the report —
-   each family member owns its record, so lanes never contend.  The
-   telemetry layer adds *global* counters in the ambient registry (one
-   atomic add per already-counted event, gated on one atomic load) plus
-   per-aggregate-instance counters that back EXPLAIN: how each instance's
-   probes were actually answered — prefix-aggregate lookups, enumerations,
-   sweeps, uniform sharing, or naive scans — and how many rows each
-   answer touched. *)
+   [eval_stats] is the per-evaluator source of truth for the report —
+   each family member owns its record, so lanes never contend — and the
+   simulation's ledger sums it.  The ambient registry holds only the
+   breakdown behind EXPLAIN: per-aggregate-instance counters (how each
+   instance's probes were actually answered — prefix-aggregate lookups,
+   enumerations, sweeps, uniform sharing, or naive scans — and how many
+   rows each answer touched), per-group build and reuse counts, and the
+   build-duration histogram.  EXPLAIN's totals are sums of that
+   breakdown. *)
 
-let tel_index_build = Telemetry.counter "eval.index_build"
-let tel_index_reuse = Telemetry.counter "eval.index_reuse"
-let tel_index_probe = Telemetry.counter "eval.index_probe"
-let tel_naive_scan = Telemetry.counter "eval.naive_scan"
 let tel_build_hist = Telemetry.histogram "eval.index_build_s"
 
 (* Per-aggregate-instance counters (EXPLAIN's row of live statistics).
@@ -113,7 +110,39 @@ type t = {
 let dummy_rand (_ : int) = 0
 
 (* ------------------------------------------------------------------ *)
-(* Naive evaluator *)
+(* Naive evaluation: one scan of the unit array per probing row (or per
+   AoE contributor).  The naive evaluator is nothing else; the indexed
+   evaluator falls back to it for instances and effects no index
+   answers. *)
+
+let naive_eval_agg (stats : eval_stats) ~(tel : agg_tel) ~(units : Tuple.t array)
+    ~(agg : Aggregate.t) ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
+  Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length units);
+  Array.mapi
+    (fun i row ->
+      stats.naive_scans <- stats.naive_scans + 1;
+      Aggregate.eval_naive ~units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
+    rows
+
+let naive_apply_aoe (stats : eval_stats) ~(schema : Schema.t) ~(units : Tuple.t array)
+    ~(pred : Predicate.t) ~(updates : (int * Expr.t) list) ~(contributors : Tuple.t array)
+    ~(contributor_rands : (int -> int) array) ~(acc : Combine.Acc.t) : unit =
+  Array.iteri
+    (fun i contributor ->
+      stats.naive_scans <- stats.naive_scans + 1;
+      let rand = contributor_rands.(i) in
+      Array.iter
+        (fun target ->
+          let ctx = { Expr.u = contributor; e = Some target; rand } in
+          if Predicate.holds ctx pred then begin
+            let key = Tuple.key schema target in
+            List.iter
+              (fun (attr, expr) ->
+                Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
+              updates
+          end)
+        units)
+    contributors
 
 let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     ~(units : Tuple.t array ref) ~(stats : eval_stats)
@@ -124,35 +153,13 @@ let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     begin_tick;
     eval_agg =
       (fun ~agg_id ~rows ~rands ->
-        let agg = aggregates.(agg_id) in
         let tel = tels.(agg_id) in
         Telemetry.Counter.incr tel.tel_batches;
-        Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length !units);
-        Array.mapi
-          (fun i row ->
-            stats.naive_scans <- stats.naive_scans + 1;
-            Telemetry.Counter.incr tel_naive_scan;
-            Aggregate.eval_naive ~units:!units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
-          rows);
+        naive_eval_agg stats ~tel ~units:!units ~agg:aggregates.(agg_id) ~rows ~rands);
     apply_aoe =
       (fun ~pred ~updates ~contributors ~contributor_rands ~acc ->
-        Array.iteri
-          (fun i contributor ->
-            stats.naive_scans <- stats.naive_scans + 1;
-            Telemetry.Counter.incr tel_naive_scan;
-            let rand = contributor_rands.(i) in
-            Array.iter
-              (fun target ->
-                let ctx = { Expr.u = contributor; e = Some target; rand } in
-                if Predicate.holds ctx pred then begin
-                  let key = Tuple.key schema target in
-                  List.iter
-                    (fun (attr, expr) ->
-                      Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
-                    updates
-                end)
-              !units)
-          contributors);
+        naive_apply_aoe stats ~schema ~units:!units ~pred ~updates ~contributors
+          ~contributor_rands ~acc);
     stats;
   }
 
@@ -309,13 +316,12 @@ let stat_fns (bi : built_index) : (int -> float) array =
          | _ -> fallback)
        bi.group.stats_exprs)
 
-(* Shared build bookkeeping: the evaluator-local stats record, the global
-   and per-group build counters, and the build-duration histogram. *)
+(* Shared build bookkeeping: the evaluator-local stats record, the
+   per-group build counter, and the build-duration histogram. *)
 let count_build (st : eval_stats) (group : group) (t0 : float) : unit =
   let dt = Timer.now () -. t0 in
   st.index_builds <- st.index_builds + 1;
   st.build_seconds <- st.build_seconds +. dt;
-  Telemetry.Counter.incr tel_index_build;
   Telemetry.Counter.incr group.g_builds;
   Telemetry.Histogram.observe tel_build_hist dt
 
@@ -555,7 +561,6 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
                 rows;
               let nq = Varray.length queries in
               st.index_probes <- st.index_probes + nq;
-              Telemetry.Counter.add tel_index_probe nq;
               Telemetry.Counter.add tel.tel_probes nq;
               let res =
                 Sweepline.run skind ~data ~queries:(Varray.to_array queries)
@@ -589,7 +594,6 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
                     (fun sub ->
                       let d = ensure_divisible st bi sub in
                       st.index_probes <- st.index_probes + 1;
-                      Telemetry.Counter.incr tel_index_probe;
                       Telemetry.Counter.incr tel.tel_probes;
                       let part =
                         match (d, box) with
@@ -641,7 +645,6 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
                       (fun best sub ->
                         let kd = ensure_kd st bi ~ex:exa ~ey:eya sub in
                         st.index_probes <- st.index_probes + 1;
-                        Telemetry.Counter.incr tel_index_probe;
                         Telemetry.Counter.incr tel.tel_probes;
                         match Kd_tree.nearest ~filter kd ~qx ~qy with
                         | None -> best
@@ -674,7 +677,6 @@ and eval_enum_component st ~(tel : agg_tel) ~(bi : built_index)
     (fun sub ->
       let tree = ensure_enum_tree st bi sub in
       st.index_probes <- st.index_probes + 1;
-      Telemetry.Counter.incr tel_index_probe;
       Telemetry.Counter.incr tel.tel_probes;
       let ivs = if bi.group.box_attrs = [] then [ Interval.everything ] else box in
       Range_tree.query_enum tree ivs (fun id -> Varray.push candidates id))
@@ -821,7 +823,6 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
     bi.cols <- !(ctx.ctx_cols);
     bi.epoch <- ctx.epoch;
     st.index_reuses <- st.index_reuses + 1;
-    Telemetry.Counter.incr tel_index_reuse;
     Telemetry.Counter.incr bi.group.g_reuses;
     let schema = ctx.ctx_schema in
     let no_dirty_units = Delta.dirty_key_count delta = 0 in
@@ -845,7 +846,6 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
         let keep kept =
           if kept then begin
             st.index_reuses <- st.index_reuses + 1;
-            Telemetry.Counter.incr tel_index_reuse;
             Telemetry.Counter.incr bi.group.g_reuses
           end
         in
@@ -938,14 +938,7 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats)
     Telemetry.Counter.incr tel.tel_batches;
     match ctx.strategies.(agg_id) with
     | Agg_plan.Uniform -> eval_uniform stats ~tel ~agg ~units:!units ~rows ~rands
-    | Agg_plan.Naive_only _ ->
-      Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length !units);
-      Array.mapi
-        (fun i row ->
-          stats.naive_scans <- stats.naive_scans + 1;
-          Telemetry.Counter.incr tel_naive_scan;
-          Aggregate.eval_naive ~units:!units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
-        rows
+    | Agg_plan.Naive_only _ -> naive_eval_agg stats ~tel ~units:!units ~agg ~rows ~rands
     | Agg_plan.Indexed _ as strategy ->
       let membership = Option.get ctx.memberships.(agg_id) in
       let bi = group_index ctx stats membership in
@@ -977,22 +970,8 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats)
     in
     let swapped_pred = Predicate.of_conjuncts (List.map swap (Predicate.conjuncts pred)) in
     let naive_fallback () =
-      Array.iteri
-        (fun i contributor ->
-          stats.naive_scans <- stats.naive_scans + 1;
-          let rand = contributor_rands.(i) in
-          Array.iter
-            (fun target ->
-              let ctx = { Expr.u = contributor; e = Some target; rand } in
-              if Predicate.holds ctx pred then begin
-                let key = Tuple.key schema target in
-                List.iter
-                  (fun (attr, expr) ->
-                    Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
-                  updates
-              end)
-            !units)
-        contributors
+      naive_apply_aoe stats ~schema ~units:!units ~pred ~updates ~contributors
+        ~contributor_rands ~acc
     in
     (* Indexable only when no update or conjunct needs the affected unit's
        random stream or mixes roles the planner cannot express. *)
@@ -1125,10 +1104,15 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
   Fmt.pf ppf "EXPLAIN: %d aggregate instance(s), index sharing %s@."
     (Array.length aggregates)
     (if share then "on" else "off");
+  let v = Telemetry.Counter.value in
+  let pp_live tel =
+    Fmt.pf ppf
+      "        live: batches=%d probes=%d rows_scanned=%d prefix=%d enum=%d sweep=%d uniform=%d@."
+      (v tel.tel_batches) (v tel.tel_probes) (v tel.tel_rows) (v tel.tel_prefix)
+      (v tel.tel_enum) (v tel.tel_sweep) (v tel.tel_uniform)
+  in
   Array.iteri
     (fun i (agg : Aggregate.t) ->
-      let tel = tels.(i) in
-      let v = Telemetry.Counter.value in
       (match ctx.strategies.(i) with
       | Agg_plan.Uniform ->
         Fmt.pf ppf "  [%d] %s: uniform (answer once per batch, share across probers)@." i
@@ -1155,11 +1139,10 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
           Fmt.(list ~sep:(any " + ") string)
           (List.map comp_name components) pp_attr_list group.cat_attrs pp_attr_list
           group.box_attrs);
-      Fmt.pf ppf
-        "        live: batches=%d probes=%d rows_scanned=%d prefix=%d enum=%d sweep=%d uniform=%d@."
-        (v tel.tel_batches) (v tel.tel_probes) (v tel.tel_rows) (v tel.tel_prefix)
-        (v tel.tel_enum) (v tel.tel_sweep) (v tel.tel_uniform))
+      pp_live tels.(i))
     aggregates;
+  Fmt.pf ppf "  [aoe] area effects: a call-local index over each effect's contributors@.";
+  pp_live aoe_tel;
   let groups =
     let seen : (int, group) Hashtbl.t = Hashtbl.create 8 in
     Array.iter
@@ -1188,16 +1171,17 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
         Fmt.pf ppf
           "    group %d: cat=%a box=%a members=%d stat_columns=%d builds=%d cache_reuses=%d@."
           g.group_id pp_attr_list g.cat_attrs pp_attr_list g.box_attrs members g.n_stats
-          (Telemetry.Counter.value g.g_builds) (Telemetry.Counter.value g.g_reuses))
+          (v g.g_builds) (v g.g_reuses))
       groups
   end;
+  (* The totals sum the breakdown: one histogram sample per build (the
+     call-local AoE groups included), the shared groups' reuses (AoE
+     indexes never outlive their call), every instance's probes. *)
   let b = Telemetry.Histogram.snapshot tel_build_hist in
-  Fmt.pf ppf "  totals: index_builds=%d (%.3fs) index_reuses=%d index_probes=%d naive_scans=%d@."
-    (Telemetry.Counter.value tel_index_build)
-    b.Telemetry.total
-    (Telemetry.Counter.value tel_index_reuse)
-    (Telemetry.Counter.value tel_index_probe)
-    (Telemetry.Counter.value tel_naive_scan);
+  Fmt.pf ppf "  totals: index_builds=%d (%.3fs) index_reuses=%d index_probes=%d@."
+    b.Telemetry.count b.Telemetry.total
+    (List.fold_left (fun n g -> n + v g.g_reuses) 0 groups)
+    (Array.fold_left (fun n tel -> n + v tel.tel_probes) (v aoe_tel.tel_probes) tels);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 

@@ -77,11 +77,15 @@ val family_stats : family -> eval_stats
 
 (** [explain ~schema ~aggregates ()] renders the compiled plan of every
     aggregate instance — chosen strategy, index group, access path —
-    annotated with the live telemetry counters the evaluators have
-    accumulated in {!Sgl_util.Telemetry.default} (batches, probes, rows
+    annotated with the live counters the evaluators have accumulated in
+    the ambient {!Sgl_util.Telemetry} registry (batches, probes, rows
     scanned, prefix-aggregate vs. enumeration vs. sweep vs. uniform
-    answers, and cache reuse per group).  Group assignment is
-    deterministic, so the mapping matches any evaluator built with the
-    same [share]/[schema]/[aggregates].  With telemetry disabled all
-    counters render as zero. *)
+    answers per instance and for the area-effect indexes; builds and
+    cache reuses per group).  Its totals line sums that breakdown: builds
+    and seconds from the [eval.index_build_s] histogram, reuses over the
+    groups, probes over the instances.  Since [Telemetry.reset] they
+    equal the report's counts.  Group assignment is deterministic, so
+    the mapping matches any evaluator built with the same
+    [share]/[schema]/[aggregates].  With telemetry disabled all counters
+    render as zero. *)
 val explain : ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> unit -> string

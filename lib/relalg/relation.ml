@@ -46,35 +46,6 @@ let filter_rows p t =
   iter (fun row -> if p row then add out row) t;
   out
 
-module Col = struct
-  let store t = t.store
-  let float_reader t j = Colstore.float_reader t.store j
-  let int_reader t j = Colstore.int_reader t.store j
-
-  let float_get t ~attr ~row =
-    match Colstore.col t.store attr with
-    | Colstore.Floats a ->
-      if row < 0 || row >= Colstore.length t.store then invalid_arg "Relation.Col.float_get";
-      a.(row)
-    | _ -> Value.to_float (Colstore.get t.store row attr)
-
-  let unsafe_float_get t ~attr ~row =
-    match Colstore.col t.store attr with
-    | Colstore.Floats a -> Array.unsafe_get a row
-    | _ -> Value.to_float (Colstore.get t.store row attr)
-
-  let iter_floats t j f =
-    match Colstore.float_reader t.store j with
-    | Some read ->
-      for i = 0 to Colstore.length t.store - 1 do
-        f i (read i)
-      done
-    | None ->
-      for i = 0 to Colstore.length t.store - 1 do
-        f i (Value.to_float (Colstore.get t.store i j))
-      done
-end
-
 (* Multiset equality up to row order: sort printable forms and compare.
    Only used by tests and assertions, so the cost is acceptable. *)
 let equal_as_multiset a b =

@@ -42,32 +42,6 @@ val map_rows : (Tuple.t -> Tuple.t) -> t -> t
     bit-identically — let-extension slots included. *)
 val filter_rows : (Tuple.t -> bool) -> t -> t
 
-(** Direct column access, bypassing row materialization.  Row ids are the
-    add order, [0 .. cardinality-1]. *)
-module Col : sig
-  (** The backing columnar store (a view, not a copy). *)
-  val store : t -> Colstore.t
-
-  (** [float_reader t j] is [Some read] when attribute [j] is stored as a
-      typed numeric column; [read i] avoids boxing entirely. *)
-  val float_reader : t -> int -> (int -> float) option
-
-  val int_reader : t -> int -> (int -> int) option
-
-  (** Bounds-checked scalar read; falls back to the boxed path on
-      non-float columns (preserving coercion errors). *)
-  val float_get : t -> attr:int -> row:int -> float
-
-  (** No bounds check on typed columns — caller guarantees
-      [row < cardinality t]. *)
-  val unsafe_float_get : t -> attr:int -> row:int -> float
-
-  (** [iter_floats t j f] calls [f i x] for every row id [i] with the
-      numeric value of attribute [j] — a contiguous scan on typed
-      columns. *)
-  val iter_floats : t -> int -> (int -> float -> unit) -> unit
-end
-
 (** Order-insensitive multiset equality (test helper). *)
 val equal_as_multiset : t -> t -> bool
 

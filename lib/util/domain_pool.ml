@@ -107,10 +107,9 @@ let await (s : slot) : failure option =
   Mutex.unlock s.lock;
   outcome
 
-(* Telemetry: total busy nanoseconds across lanes, and the per-fan-out
-   busy-time distribution (lane imbalance shows up as a wide histogram).
-   Counters are atomic, so every lane records without locks. *)
-let tel_busy_ns = Telemetry.counter "pool.lane_busy_ns"
+(* Telemetry: the number of fan-outs, and the per-lane busy-time
+   distribution (lane imbalance shows up as a wide histogram; its total is
+   the summed busy time). *)
 let tel_fanouts = Telemetry.counter "pool.fanouts"
 let tel_busy_hist = Telemetry.histogram "pool.lane_busy_s"
 
@@ -129,11 +128,9 @@ let parallel_map (t : t) (f : 'a -> 'b) (items : 'a array) : 'b array =
         let t0 = if Telemetry.enabled () then Timer.now_ns () else 0L in
         Fault_inject.hit "pool.lane";
         let finish () =
-          if Telemetry.enabled () then begin
-            let ns = Int64.sub (Timer.now_ns ()) t0 in
-            Telemetry.Counter.add tel_busy_ns (Int64.to_int ns);
-            Telemetry.Histogram.observe tel_busy_hist (Int64.to_float ns /. 1e9)
-          end
+          if Telemetry.enabled () then
+            Telemetry.Histogram.observe tel_busy_hist
+              (Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e9)
         in
         match
           let i = ref lane in

@@ -1,13 +1,13 @@
-(* Unified telemetry: a metrics registry and a span tracer.
+(* Unified telemetry: the ambient metrics registry and a span tracer.
 
    The engine's performance-critical subsystems (parallel decision phase,
-   transactional ticks, incremental index cache) record what they do
-   through this module, the way a query processor keeps runtime statistics
+   index builds, combination, durability) record what they do through
+   this module, the way a query processor keeps runtime statistics
    behind EXPLAIN ANALYZE:
 
-   - a *registry* of named metrics — atomic counters (worker lanes record
-     without locks), gauges, and histograms backed by sharded Welford
-     accumulators ({!Stats}) merged on read;
+   - one process-wide *registry* of named metrics: atomic counters
+     (worker lanes record without locks) and histograms backed by sharded
+     Welford accumulators ({!Stats}) merged on read;
    - a *span tracer* that buffers (name, thread, start, duration) tuples
      and dumps them in Chrome trace-event format, so a tick can be opened
      in a trace viewer: tick > phase > script group > operator, with one
@@ -15,35 +15,31 @@
 
    Both are inert by default.  The disabled fast path is a single atomic
    load (the {!Fault_inject} pattern): handles are created once and held,
-   and a record call on a disabled registry or tracer touches nothing
+   and a record call while the registry or tracer is off touches nothing
    else.  Nothing here feeds back into simulation state, so unit states
    are bit-identical with telemetry on, off, or under EXPLAIN — the
    differential suite pins that.
 
-   Registries are first-class: the global {!default} registry carries the
-   process-wide hot-path metrics (eval.*, exec.*, pool.*, combine.*, and
-   the per-aggregate agg.* counters behind EXPLAIN), while a simulation
-   owns a private always-on registry for its report counters, so
-   concurrent simulations never share state. *)
+   The registry carries only what no other layer counts: the per-instance
+   agg.* and per-group group.* breakdowns behind EXPLAIN, executor, pool,
+   combiner and durability metrics.  The evaluator's and the engine's
+   totals belong to the simulation's ledger ([Simulation.report]). *)
 
 (* ------------------------------------------------------------------ *)
-(* Metric cells.  Every handle carries the owning registry's enabled
-   flag; a disabled registry's metrics cost one atomic load to skip. *)
+(* Metric cells, gated on the registry's one enabled flag. *)
 
-type counter = { c_name : string; c_cell : int Atomic.t; c_on : bool Atomic.t }
+let on : bool Atomic.t = Atomic.make false
+let enabled () = Atomic.get on
+let set_enabled v = Atomic.set on v
 
-type gauge = { g_name : string; g_cell : float Atomic.t; g_on : bool Atomic.t }
+type counter = { c_name : string; c_cell : int Atomic.t }
 
 (* Histograms shard by domain id so concurrent lanes hit distinct
    mutexes; [snapshot] merges the shards with [Stats.merge], which is
    partition-independent by construction. *)
 let histogram_shards = 8
 
-type histogram = {
-  h_name : string;
-  h_cells : (Mutex.t * Stats.t) array;
-  h_on : bool Atomic.t;
-}
+type histogram = { h_name : string; h_cells : (Mutex.t * Stats.t) array }
 
 type histogram_snapshot = {
   count : int;
@@ -59,21 +55,12 @@ type histogram_snapshot = {
 
 module Counter = struct
   let name (c : counter) = c.c_name
-  let incr (c : counter) : unit = if Atomic.get c.c_on then Atomic.incr c.c_cell
+  let incr (c : counter) : unit = if Atomic.get on then Atomic.incr c.c_cell
 
   let add (c : counter) (n : int) : unit =
-    if Atomic.get c.c_on then ignore (Atomic.fetch_and_add c.c_cell n)
+    if Atomic.get on then ignore (Atomic.fetch_and_add c.c_cell n)
 
-  (* Unconditional write, for counters that mirror engine state the report
-     layer owns (rollback restores, retirement folds). *)
-  let set (c : counter) (n : int) : unit = Atomic.set c.c_cell n
   let value (c : counter) : int = Atomic.get c.c_cell
-end
-
-module Gauge = struct
-  let name (g : gauge) = g.g_name
-  let set (g : gauge) (v : float) : unit = if Atomic.get g.g_on then Atomic.set g.g_cell v
-  let value (g : gauge) : float = Atomic.get g.g_cell
 end
 
 let summarize (acc : Stats.t) : histogram_snapshot =
@@ -94,7 +81,7 @@ module Histogram = struct
   let name (h : histogram) = h.h_name
 
   let observe (h : histogram) (v : float) : unit =
-    if Atomic.get h.h_on then begin
+    if Atomic.get on then begin
       let lock, cell = h.h_cells.((Domain.self () :> int) mod histogram_shards) in
       Mutex.lock lock;
       Stats.add cell v;
@@ -137,140 +124,86 @@ let json_float (f : float) : string =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
 (* ------------------------------------------------------------------ *)
-(* The registry *)
+(* The registry: name -> handle, for the whole process *)
 
-module Registry = struct
-  type t = {
-    on : bool Atomic.t;
-    lock : Mutex.t; (* guards registration maps, not metric cells *)
-    counters : (string, counter) Hashtbl.t;
-    gauges : (string, gauge) Hashtbl.t;
-    histograms : (string, histogram) Hashtbl.t;
-  }
+let registry_lock = Mutex.create () (* guards the registration maps, not metric cells *)
+let counter_table : (string, counter) Hashtbl.t = Hashtbl.create 32
+let histogram_table : (string, histogram) Hashtbl.t = Hashtbl.create 8
 
-  let create ?(enabled = false) () : t =
-    {
-      on = Atomic.make enabled;
-      lock = Mutex.create ();
-      counters = Hashtbl.create 32;
-      gauges = Hashtbl.create 8;
-      histograms = Hashtbl.create 8;
-    }
-
-  let enabled t = Atomic.get t.on
-  let set_enabled t v = Atomic.set t.on v
-
-  (* Registration is idempotent by name: the first call creates the cell,
-     later calls return the same handle, so call sites may register
-     eagerly at construction time and hold the handle for the run. *)
-  let intern (type a) (table : (string, a) Hashtbl.t) (lock : Mutex.t) (name : string)
-      (make : unit -> a) : a =
-    Mutex.lock lock;
-    let v =
+(* Registration is idempotent by name: the first call creates the cell,
+   later calls return the same handle, so call sites may register eagerly
+   at module initialisation and hold the handle for the run. *)
+let intern (type a) (table : (string, a) Hashtbl.t) (name : string) (make : unit -> a) : a =
+  Mutex.protect registry_lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some v -> v
       | None ->
         let v = make () in
         Hashtbl.add table name v;
-        v
-    in
-    Mutex.unlock lock;
-    v
+        v)
 
-  let counter (t : t) (name : string) : counter =
-    intern t.counters t.lock name (fun () ->
-        { c_name = name; c_cell = Atomic.make 0; c_on = t.on })
+let counter (name : string) : counter =
+  intern counter_table name (fun () -> { c_name = name; c_cell = Atomic.make 0 })
 
-  let gauge (t : t) (name : string) : gauge =
-    intern t.gauges t.lock name (fun () ->
-        { g_name = name; g_cell = Atomic.make 0.; g_on = t.on })
+let histogram (name : string) : histogram =
+  intern histogram_table name (fun () ->
+      {
+        h_name = name;
+        h_cells = Array.init histogram_shards (fun _ -> (Mutex.create (), Stats.create ()));
+      })
 
-  let histogram (t : t) (name : string) : histogram =
-    intern t.histograms t.lock name (fun () ->
-        {
-          h_name = name;
-          h_cells = Array.init histogram_shards (fun _ -> (Mutex.create (), Stats.create ()));
-          h_on = t.on;
-        })
+(* Zero every metric, keeping registrations (handles stay valid). *)
+let reset () : unit =
+  Mutex.protect registry_lock (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) counter_table;
+      Hashtbl.iter
+        (fun _ h ->
+          Array.iter (fun (l, cell) -> Mutex.protect l (fun () -> Stats.reset cell)) h.h_cells)
+        histogram_table)
 
-  (* Zero every metric, keeping registrations (handles stay valid). *)
-  let reset (t : t) : unit =
-    Mutex.lock t.lock;
-    Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) t.counters;
-    Hashtbl.iter (fun _ g -> Atomic.set g.g_cell 0.) t.gauges;
-    Hashtbl.iter
-      (fun _ h ->
-        Array.iter
-          (fun (lock, cell) ->
-            Mutex.lock lock;
-            Stats.reset cell;
-            Mutex.unlock lock)
-          h.h_cells)
-      t.histograms;
-    Mutex.unlock t.lock
+let sorted_bindings (type a) (table : (string, a) Hashtbl.t) : (string * a) list =
+  let out =
+    Mutex.protect registry_lock (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+  in
+  List.sort (fun (a, _) (b, _) -> String.compare a b) out
 
-  let sorted_bindings (type a) (table : (string, a) Hashtbl.t) (lock : Mutex.t) :
-      (string * a) list =
-    Mutex.lock lock;
-    let out = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-    Mutex.unlock lock;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) out
+let counters () : (string * int) list =
+  List.map (fun (k, c) -> (k, Counter.value c)) (sorted_bindings counter_table)
 
-  let counters (t : t) : (string * int) list =
-    List.map (fun (k, c) -> (k, Counter.value c)) (sorted_bindings t.counters t.lock)
+let histograms () : (string * histogram_snapshot) list =
+  List.map (fun (k, h) -> (k, Histogram.snapshot h)) (sorted_bindings histogram_table)
 
-  let gauges (t : t) : (string * float) list =
-    List.map (fun (k, g) -> (k, Gauge.value g)) (sorted_bindings t.gauges t.lock)
+(* The --metrics document: every metric, sorted by name so diffs are
+   stable. *)
+let to_json () : string =
+  let b = Buffer.create 1024 in
+  let fields kind rows render =
+    Buffer.add_string b (Printf.sprintf "  %s: {" (json_string kind));
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        Buffer.add_string b "\n    ";
+        Buffer.add_string b (json_string k);
+        Buffer.add_string b ": ";
+        Buffer.add_string b (render v))
+      rows;
+    if rows <> [] then Buffer.add_string b "\n  ";
+    Buffer.add_string b "}"
+  in
+  Buffer.add_string b "{\n";
+  fields "counters" (counters ()) string_of_int;
+  Buffer.add_string b ",\n";
+  fields "histograms" (histograms ()) (fun (s : histogram_snapshot) ->
+      Printf.sprintf
+        "{\"count\": %d, \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s, \"total\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}"
+        s.count (json_float s.mean) (json_float s.stddev) (json_float s.min) (json_float s.max)
+        (json_float s.total) (json_float s.p50) (json_float s.p90) (json_float s.p99));
+  Buffer.add_string b "\n}\n";
+  Buffer.contents b
 
-  let histograms (t : t) : (string * histogram_snapshot) list =
-    List.map (fun (k, h) -> (k, Histogram.snapshot h)) (sorted_bindings t.histograms t.lock)
-
-  (* The --metrics document: every metric of this registry, sorted by
-     name so diffs are stable. *)
-  let to_json (t : t) : string =
-    let b = Buffer.create 1024 in
-    let fields kind rows render =
-      Buffer.add_string b (Printf.sprintf "  %s: {" (json_string kind));
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b "\n    ";
-          Buffer.add_string b (json_string k);
-          Buffer.add_string b ": ";
-          Buffer.add_string b (render v))
-        rows;
-      if rows <> [] then Buffer.add_string b "\n  ";
-      Buffer.add_string b "}"
-    in
-    Buffer.add_string b "{\n";
-    fields "counters" (counters t) string_of_int;
-    Buffer.add_string b ",\n";
-    fields "gauges" (gauges t) json_float;
-    Buffer.add_string b ",\n";
-    fields "histograms" (histograms t) (fun (s : histogram_snapshot) ->
-        Printf.sprintf
-          "{\"count\": %d, \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s, \"total\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}"
-          s.count (json_float s.mean) (json_float s.stddev) (json_float s.min) (json_float s.max)
-          (json_float s.total) (json_float s.p50) (json_float s.p90) (json_float s.p99));
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
-
-  let write_json (t : t) ~(path : string) : unit =
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json t))
-end
-
-(* The process-wide ambient registry: hot-path metrics from the
-   evaluator, executor, pool and combiner land here.  Disabled until a
-   tool (--metrics, --explain, the bench telemetry section) opts in. *)
-let default : Registry.t = Registry.create ()
-
-let set_enabled v = Registry.set_enabled default v
-let enabled () = Registry.enabled default
-let counter name = Registry.counter default name
-let gauge name = Registry.gauge default name
-let histogram name = Registry.histogram default name
-let reset () = Registry.reset default
+let write_json ~(path : string) : unit =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json ()))
 
 (* ------------------------------------------------------------------ *)
 (* The span tracer *)

@@ -1,4 +1,5 @@
-(** Unified telemetry: a metrics registry and a Chrome-trace span tracer.
+(** Unified telemetry: the process-wide metrics registry and a
+    Chrome-trace span tracer.
 
     Metrics and spans are inert until enabled; the disabled fast path is a
     single atomic load per call site (the {!Fault_inject} pattern).
@@ -7,11 +8,13 @@
     Telemetry never feeds back into simulation state: unit states are
     bit-identical with telemetry on, off, or under EXPLAIN.
 
+    The registry holds what no other layer counts: EXPLAIN's per-instance
+    and per-group breakdowns, executor, pool, combiner and durability
+    metrics.  Evaluator and engine totals live in the simulation's ledger.
     The metric name catalogue lives in docs/INTERNALS.md ("Telemetry and
     EXPLAIN"). *)
 
 type counter
-type gauge
 type histogram
 
 type histogram_snapshot = {
@@ -33,22 +36,11 @@ val summarize : Stats.t -> histogram_snapshot
 module Counter : sig
   val name : counter -> string
 
-  (** One atomic load when the owning registry is disabled. *)
+  (** One atomic load when the registry is disabled. *)
   val incr : counter -> unit
 
   val add : counter -> int -> unit
-
-  (** Unconditional write (ignores the enabled flag) — for counters that
-      mirror engine-owned state, e.g. restoring a snapshot on rollback. *)
-  val set : counter -> int -> unit
-
   val value : counter -> int
-end
-
-module Gauge : sig
-  val name : gauge -> string
-  val set : gauge -> float -> unit
-  val value : gauge -> float
 end
 
 module Histogram : sig
@@ -75,55 +67,33 @@ val json_string : string -> string
 (** ["%.6g"]; non-finite floats render as [null]. *)
 val json_float : float -> string
 
-module Registry : sig
-  type t
+(** {1 The registry}
 
-  (** [create ()] makes a private registry, disabled unless [enabled]. *)
-  val create : ?enabled:bool -> unit -> t
+    One process-wide registry: the executor, pool, combiner, durability
+    layer and EXPLAIN's breakdowns record here.  Disabled by default. *)
 
-  val enabled : t -> bool
-  val set_enabled : t -> bool -> unit
-
-  (** Registration is idempotent by name: later calls return the handle
-      the first created.  Register eagerly, hold the handle. *)
-  val counter : t -> string -> counter
-
-  val gauge : t -> string -> gauge
-  val histogram : t -> string -> histogram
-
-  (** Zero every metric; registrations (and held handles) stay valid. *)
-  val reset : t -> unit
-
-  (** Current values, sorted by metric name. *)
-  val counters : t -> (string * int) list
-
-  val gauges : t -> (string * float) list
-  val histograms : t -> (string * histogram_snapshot) list
-
-  (** The --metrics document: {"counters": {...}, "gauges": {...},
-      "histograms": {name: {count, mean, stddev, min, max, total}}}. *)
-  val to_json : t -> string
-
-  val write_json : t -> path:string -> unit
-end
-
-(** The process-wide ambient registry: the evaluator, executor, pool and
-    combiner record here.  Disabled by default. *)
-val default : Registry.t
-
-(** Enable/disable {!default}. *)
 val set_enabled : bool -> unit
-
 val enabled : unit -> bool
 
-(** [counter name] is [Registry.counter default name]; likewise the rest. *)
+(** Registration is idempotent by name: later calls return the handle the
+    first created.  Register eagerly, hold the handle. *)
 val counter : string -> counter
 
-val gauge : string -> gauge
 val histogram : string -> histogram
 
-(** Zero every metric of {!default}. *)
+(** Zero every metric; registrations (and held handles) stay valid. *)
 val reset : unit -> unit
+
+(** Current values, sorted by metric name. *)
+val counters : unit -> (string * int) list
+
+val histograms : unit -> (string * histogram_snapshot) list
+
+(** The --metrics document: {"counters": {...}, "histograms": {name:
+    {count, mean, stddev, min, max, total, p50, p90, p99}}}. *)
+val to_json : unit -> string
+
+val write_json : path:string -> unit
 
 (** The span tracer: one process-wide buffer of (name, category, domain,
     start, duration) tuples, dumped in Chrome trace-event format (load at

@@ -57,6 +57,10 @@ echo "   /health: $(cat health.json)"
 curl -fsS "$BASE/metrics" -o metrics.txt || fail "/metrics curl failed"
 grep -q '^# TYPE sgl_' metrics.txt || fail "/metrics is not Prometheus exposition"
 grep -q 'sgl_sim_tick_seconds' metrics.txt || fail "/metrics lacks the tick histogram"
+grep -q '^sgl_sim_index_builds{registry="sim"} ' metrics.txt \
+  || fail "/metrics lacks the ledger's index builds"
+DUP=$(grep '^# TYPE ' metrics.txt | awk '{print $3}' | sort | uniq -d)
+[ -z "$DUP" ] || fail "/metrics repeats # TYPE for: $DUP"
 echo "   /metrics: $(wc -l < metrics.txt) lines of exposition"
 
 curl -fsS "$BASE/query?q=count(*)%20where%20e.health%20%3E%200" -o query.json \

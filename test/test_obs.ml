@@ -576,7 +576,25 @@ let metrics_sim_rows () =
   Alcotest.(check int) "faults" r.Simulation.faults (value "sgl_sim_faults");
   Alcotest.(check int) "retries" r.Simulation.retries (value "sgl_sim_retries");
   Alcotest.(check int) "suppressed" r.Simulation.suppressed (value "sgl_sim_suppressed");
-  Alcotest.(check int) "tick seconds count" 20 (value "sgl_sim_tick_seconds_count")
+  Alcotest.(check int) "tick seconds count" 20 (value "sgl_sim_tick_seconds_count");
+  Alcotest.(check bool) "the battle built indexes" true (r.Simulation.index_builds > 0);
+  Alcotest.(check int) "index builds" r.Simulation.index_builds (value "sgl_sim_index_builds");
+  Alcotest.(check int) "index reuses" r.Simulation.index_reuses (value "sgl_sim_index_reuses");
+  Alcotest.(check int) "index probes" r.Simulation.index_probes (value "sgl_sim_index_probes");
+  Alcotest.(check int) "naive scans" r.Simulation.naive_scans (value "sgl_sim_naive_scans");
+  Alcotest.(check int) "uniform hits" r.Simulation.uniform_hits (value "sgl_sim_uniform_hits");
+  (* the exposition format allows one # TYPE header per metric name *)
+  let types =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "#"; "TYPE"; name; _ ] -> Some name
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  Alcotest.(check bool) "has # TYPE headers" true (types <> []);
+  Alcotest.(check (list string)) "each # TYPE once" (List.sort_uniq String.compare types)
+    (List.sort String.compare types)
 
 (* ------------------------------------------------------------------ *)
 (* The tick-time flag over synthetic samples: the recent p99 must clear

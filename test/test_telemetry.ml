@@ -9,45 +9,58 @@ open Sgl_engine
 open Sgl_battle
 
 (* ------------------------------------------------------------------ *)
-(* Registry *)
+(* Registry
+
+   The registry is process-wide, so these tests use names of their own
+   and put the enabled flag back as they found it. *)
+
+let with_enabled (on : bool) (f : unit -> unit) : unit =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled on;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 let registry_counter_gating () =
-  let r = Telemetry.Registry.create () in
-  let c = Telemetry.Registry.counter r "test.c" in
-  Alcotest.(check bool) "disabled by default" false (Telemetry.Registry.enabled r);
-  Telemetry.Counter.incr c;
-  Telemetry.Counter.add c 10;
-  Alcotest.(check int) "gated while disabled" 0 (Telemetry.Counter.value c);
-  Telemetry.Registry.set_enabled r true;
-  Telemetry.Counter.incr c;
-  Telemetry.Counter.add c 10;
-  Alcotest.(check int) "counts while enabled" 11 (Telemetry.Counter.value c);
-  (* set is the one unconditional write: it mirrors engine-owned state
-     (rollback restores), so it lands even when the registry is off *)
-  Telemetry.Registry.set_enabled r false;
-  Telemetry.Counter.set c 7;
-  Alcotest.(check int) "set ignores the gate" 7 (Telemetry.Counter.value c);
-  Alcotest.(check string) "name" "test.c" (Telemetry.Counter.name c)
+  Alcotest.(check bool) "disabled by default" false (Telemetry.enabled ());
+  let c = Telemetry.counter "test.gating" in
+  let v0 = Telemetry.Counter.value c in
+  with_enabled false (fun () ->
+      Telemetry.Counter.incr c;
+      Telemetry.Counter.add c 10;
+      Alcotest.(check int) "gated while disabled" v0 (Telemetry.Counter.value c));
+  with_enabled true (fun () ->
+      Telemetry.Counter.incr c;
+      Telemetry.Counter.add c 10;
+      Alcotest.(check int) "counts while enabled" (v0 + 11) (Telemetry.Counter.value c));
+  Alcotest.(check bool) "flag restored" false (Telemetry.enabled ());
+  Alcotest.(check string) "name" "test.gating" (Telemetry.Counter.name c)
 
 let registry_idempotent_registration () =
-  let r = Telemetry.Registry.create ~enabled:true () in
-  let a = Telemetry.Registry.counter r "test.same" in
-  let b = Telemetry.Registry.counter r "test.same" in
+  with_enabled true @@ fun () ->
+  let a = Telemetry.counter "test.same" in
+  let b = Telemetry.counter "test.same" in
+  let v0 = Telemetry.Counter.value b in
   Telemetry.Counter.add a 3;
   (* same handle: EXPLAIN recovers live counters by re-registering names *)
-  Alcotest.(check int) "one underlying cell" 3 (Telemetry.Counter.value b);
-  let g1 = Telemetry.Registry.gauge r "test.g" in
-  let g2 = Telemetry.Registry.gauge r "test.g" in
-  Telemetry.Gauge.set g1 2.5;
-  Alcotest.(check (float 0.)) "gauge interned" 2.5 (Telemetry.Gauge.value g2)
+  Alcotest.(check int) "one underlying cell" (v0 + 3) (Telemetry.Counter.value b);
+  let h1 = Telemetry.histogram "test.same_h" in
+  let h2 = Telemetry.histogram "test.same_h" in
+  let n0 = (Telemetry.Histogram.snapshot h2).Telemetry.count in
+  Telemetry.Histogram.observe h1 2.5;
+  Alcotest.(check int) "histogram interned" (n0 + 1)
+    (Telemetry.Histogram.snapshot h2).Telemetry.count
 
 let registry_reset_keeps_handles () =
-  let r = Telemetry.Registry.create ~enabled:true () in
-  let c = Telemetry.Registry.counter r "test.c" in
-  let h = Telemetry.Registry.histogram r "test.h" in
+  with_enabled true @@ fun () ->
+  let c = Telemetry.counter "test.reset_c" in
+  let h = Telemetry.histogram "test.reset_h" in
   Telemetry.Counter.add c 5;
   Telemetry.Histogram.observe h 1.0;
-  Telemetry.Registry.reset r;
+  Telemetry.reset ();
   Alcotest.(check int) "counter zeroed" 0 (Telemetry.Counter.value c);
   Alcotest.(check int) "histogram zeroed" 0 (Telemetry.Histogram.snapshot h).Telemetry.count;
   (* held handles keep working after reset *)
@@ -55,8 +68,9 @@ let registry_reset_keeps_handles () =
   Alcotest.(check int) "handle still live" 1 (Telemetry.Counter.value c)
 
 let registry_histogram () =
-  let r = Telemetry.Registry.create ~enabled:true () in
-  let h = Telemetry.Registry.histogram r "test.h" in
+  with_enabled true @@ fun () ->
+  Telemetry.reset ();
+  let h = Telemetry.histogram "test.hist" in
   List.iter (Telemetry.Histogram.observe h) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   let s = Telemetry.Histogram.snapshot h in
   Alcotest.(check int) "count" 8 s.Telemetry.count;
@@ -66,27 +80,26 @@ let registry_histogram () =
   Alcotest.(check (float 1e-9)) "total" 40. s.Telemetry.total
 
 let registry_listing_and_json () =
-  let r = Telemetry.Registry.create ~enabled:true () in
-  let b = Telemetry.Registry.counter r "b.second" in
-  let a = Telemetry.Registry.counter r "a.first" in
+  with_enabled true @@ fun () ->
+  Telemetry.reset ();
+  let b = Telemetry.counter "test.list.b_second" in
+  let a = Telemetry.counter "test.list.a_first" in
   Telemetry.Counter.add a 1;
   Telemetry.Counter.add b 2;
-  Telemetry.Gauge.set (Telemetry.Registry.gauge r "g.one") 1.5;
-  Telemetry.Histogram.observe (Telemetry.Registry.histogram r "h.one") 3.;
+  Telemetry.Histogram.observe (Telemetry.histogram "test.list.h_one") 3.;
   Alcotest.(check (list (pair string int)))
     "counters sorted by name"
-    [ ("a.first", 1); ("b.second", 2) ]
-    (Telemetry.Registry.counters r);
-  let json = Telemetry.Registry.to_json r in
+    [ ("test.list.a_first", 1); ("test.list.b_second", 2) ]
+    (List.filter
+       (fun (name, _) -> String.starts_with ~prefix:"test.list." name)
+       (Telemetry.counters ()));
+  let names = List.map fst (Telemetry.counters ()) in
+  Alcotest.(check (list string)) "whole listing sorted" (List.sort String.compare names) names;
+  let json = Telemetry.to_json () in
   List.iter
     (fun needle ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) (Fmt.str "json mentions %s" needle) true (contains json needle))
-    [ "\"counters\""; "\"gauges\""; "\"histograms\""; "\"a.first\""; "\"h.one\"" ]
+    [ "\"counters\""; "\"histograms\""; "\"test.list.a_first\""; "\"test.list.h_one\"" ]
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -112,11 +125,6 @@ let span_records_and_serializes () =
   Alcotest.(check int) "value through" 17 v;
   Alcotest.(check int) "three events" 3 (Telemetry.Span.count ());
   let json = Telemetry.Span.to_json () in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "bare event array" true (String.length json > 0 && json.[0] = '[');
   List.iter
     (fun needle -> Alcotest.(check bool) (Fmt.str "mentions %s" needle) true (contains json needle))
@@ -196,7 +204,7 @@ let telemetry_is_invisible () =
       Telemetry.Span.stop ()
     end;
     if metrics then begin
-      let total = List.fold_left (fun acc (_, v) -> acc + v) 0 (Telemetry.Registry.counters Telemetry.default) in
+      let total = List.fold_left (fun acc (_, v) -> acc + v) 0 (Telemetry.counters ()) in
       Alcotest.(check bool) "metrics recorded" true (total > 0);
       Telemetry.set_enabled false
     end;
@@ -206,6 +214,44 @@ let telemetry_is_invisible () =
   check_states ~msg:"metrics vs off" baseline (run ~metrics:true ~spans:false ~explain:false);
   check_states ~msg:"spans vs off" baseline (run ~metrics:false ~spans:true ~explain:false);
   check_states ~msg:"explain vs off" baseline (run ~metrics:true ~spans:false ~explain:true)
+
+(* EXPLAIN's totals line sums the per-group and per-instance breakdown
+   and the build histogram; on a fresh registry those sums must equal the
+   ledger's counts, sequential and parallel alike. *)
+let explain_totals_equal_report () =
+  let check evaluator =
+    let name = Simulation.evaluator_name evaluator in
+    Telemetry.reset ();
+    with_enabled true @@ fun () ->
+    let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 30) () in
+    let sim = Scenario.simulation ~seed:11 ~evaluator scenario in
+    Simulation.run sim ~ticks:20;
+    let prog = Scripts.compile () in
+    let text =
+      Sgl_qopt.Eval.explain ~schema:(Simulation.schema sim)
+        ~aggregates:prog.Sgl_lang.Core_ir.aggregates ()
+    in
+    let totals =
+      match
+        List.find_opt
+          (fun line -> contains line "totals:")
+          (String.split_on_char '\n' text)
+      with
+      | Some line -> line
+      | None -> Alcotest.failf "%s: EXPLAIN has no totals line:@.%s" name text
+    in
+    let builds, reuses, probes =
+      Scanf.sscanf (String.trim totals)
+        "totals: index_builds=%d (%fs) index_reuses=%d index_probes=%d" (fun b _ r p -> (b, r, p))
+    in
+    let r = Simulation.report sim in
+    Alcotest.(check bool) (name ^ ": built indexes") true (r.Simulation.index_builds > 0);
+    Alcotest.(check int) (name ^ ": builds") r.Simulation.index_builds builds;
+    Alcotest.(check int) (name ^ ": reuses") r.Simulation.index_reuses reuses;
+    Alcotest.(check int) (name ^ ": probes") r.Simulation.index_probes probes
+  in
+  check Simulation.Indexed;
+  check (Simulation.Parallel { domains = 2 })
 
 let suite =
   let tc = Alcotest.test_case in
@@ -228,5 +274,6 @@ let suite =
     ( "telemetry.differential",
       [
         tc "bit-identical on/off/spans/explain" `Slow telemetry_is_invisible;
+        tc "explain totals equal report" `Quick explain_totals_equal_report;
       ] );
   ]
