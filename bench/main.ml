@@ -4,8 +4,14 @@
      dune exec bench/main.exe            -- quick pass over everything
      dune exec bench/main.exe -- full    -- the paper-scale sweeps
      dune exec bench/main.exe -- fig10 capacity density \
-         ablate-divisible ablate-sweep ablate-nn ablate-combine phases \
-         parallel micro
+         ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share \
+         phases parallel incremental fused faults micro
+     dune exec bench/main.exe -- counts  -- the deterministic counts gate
+
+   Sections ending in -full (fig10, parallel, incremental, fused) run the
+   larger sweeps.  [counts] prints work counts, not timings, and is not
+   part of the quick pass (see [counts] below).  Per-layer timings of a
+   tick live in perfbench/.
 
    Absolute numbers differ from the paper's 2 GHz Core Duo C++ engine; the
    *shape* is what reproduces: the naive evaluator is quadratic in the unit
@@ -59,19 +65,7 @@ let fig10 ~full () =
     else [ 250; 500; 1000; 2000; 4000; 8000; 12000 ]
   in
   let measure evaluator n =
-    let per_tick, r = battle_seconds ~evaluator ~n ~density:0.01 ~ticks:(ticks_for ~evaluator ~n) in
-    Bench_json.emit ~section:"fig10"
-      ~config:
-        [ ("evaluator", Simulation.evaluator_name evaluator); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
+    let per_tick, _ = battle_seconds ~evaluator ~n ~density:0.01 ~ticks:(ticks_for ~evaluator ~n) in
     per_tick *. 500.
   in
   let naive = List.map (fun n -> (n, measure Simulation.Naive n)) naive_sizes in
@@ -366,18 +360,7 @@ script healer(u) { perform Aura(u); }
 (* A4: where does the indexed tick go? (Section 6's phase split) *)
 let phases () =
   header "Ablation A4 - indexed tick phase split (battle, 2000 units, 10 ticks)";
-  let per_tick, r = battle_seconds ~evaluator:Simulation.Indexed ~n:2000 ~density:0.01 ~ticks:10 in
-  Bench_json.emit ~section:"phases"
-    ~config:[ ("evaluator", "indexed"); ("units", "2000") ]
-    ~ticks_per_s:(1. /. per_tick)
-    ~phases:
-      [
-        ("decision_s", r.Simulation.decision_s);
-        ("build_s", r.Simulation.build_s);
-        ("post_s", r.Simulation.post_s);
-        ("movement_s", r.Simulation.movement_s);
-        ("death_s", r.Simulation.death_s);
-      ];
+  let _, r = battle_seconds ~evaluator:Simulation.Indexed ~n:2000 ~density:0.01 ~ticks:10 in
   let total = r.Simulation.total_s in
   let pct x = 100. *. x /. total in
   pr "decision (probe)   : %7.3fs  (%4.1f%%)@."
@@ -472,20 +455,11 @@ let parallel_scaling ~full () =
   List.iter
     (fun n ->
       let ticks = ticks_for ~evaluator:Simulation.Indexed ~n in
-      let emit label t =
-        Bench_json.emit ~section:"parallel"
-          ~config:[ ("evaluator", label); ("units", string_of_int n) ]
-          ~ticks_per_s:(1. /. t)
-          ~phases:[ ("decision_s", t) ]
-      in
       let seq = decision_per_tick ~evaluator:Simulation.Indexed ~n ~ticks in
-      emit "indexed" seq;
       let par =
         List.map
           (fun domains ->
-            let t = decision_per_tick ~evaluator:(Simulation.Parallel { domains }) ~n ~ticks in
-            emit (Printf.sprintf "parallel:%d" domains) t;
-            (domains, t))
+            (domains, decision_per_tick ~evaluator:(Simulation.Parallel { domains }) ~n ~ticks))
           domain_counts
       in
       pr "%8d %14.4f" n seq;
@@ -695,32 +669,9 @@ let incremental ~full () =
             (fun churn ->
               let ticks = if n >= 20_000 then 5 else 10 in
               let warm, wr = incremental_rate ~index_cache:true ~evaluator ~n ~churn ~ticks in
-              let cold, cr = incremental_rate ~index_cache:false ~evaluator ~n ~churn ~ticks in
+              let cold, _ = incremental_rate ~index_cache:false ~evaluator ~n ~churn ~ticks in
               pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10d@." ev_name n (churn *. 100.)
-                warm cold (warm /. cold) wr.Simulation.index_reuses;
-              let emit label rate (r : Simulation.report) =
-                Bench_json.emit ~section:"incremental"
-                  ~config:
-                    [
-                      ("evaluator", ev_name);
-                      ("units", string_of_int n);
-                      ("churn", Printf.sprintf "%.2f" churn);
-                      ("cache", label);
-                    ]
-                  ~ticks_per_s:rate
-                  ~phases:
-                    [
-                      ("decision_s", r.Simulation.decision_s);
-                      ("build_s", r.Simulation.build_s);
-                      ("post_s", r.Simulation.post_s);
-                      ("movement_s", r.Simulation.movement_s);
-                      ("death_s", r.Simulation.death_s);
-                      ("index_builds", float_of_int r.Simulation.index_builds);
-                      ("index_reuses", float_of_int r.Simulation.index_reuses);
-                    ]
-              in
-              emit "warm" warm wr;
-              emit "cold" cold cr)
+                warm cold (warm /. cold) wr.Simulation.index_reuses)
             churns)
         sizes)
     evaluators;
@@ -811,165 +762,6 @@ let micro () =
       | Some (t :: _) -> pr "%-30s %14.1f@." name t
       | Some [] | None -> pr "%-30s %14s@." name "n/a")
     (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry: instrumentation overhead on the formation battle.
-
-   Three passes over the same workload: ambient registry disabled (the
-   shipped default — every call site pays one atomic load), registry
-   enabled (--metrics), and registry + span tracer (--trace-spans).  The
-   telemetry-off pass is the one the <2% overhead budget is judged
-   against; with --json armed, the metrics document of the instrumented
-   pass is archived next to the bench rows. *)
-
-let telemetry_bench () =
-  header "Telemetry - instrumentation overhead (indexed evaluator, 2000 units)";
-  let n = 2000 and density = 0.01 and ticks = 20 in
-  let measure mode ~pre ~post =
-    pre ();
-    let per_tick, r = battle_seconds ~evaluator:Simulation.Indexed ~n ~density ~ticks in
-    post ();
-    Bench_json.emit ~section:"telemetry"
-      ~config:[ ("mode", mode); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
-    (mode, per_tick)
-  in
-  let nothing () = () in
-  let off = measure "off" ~pre:(fun () -> Telemetry.set_enabled false) ~post:nothing in
-  let metrics =
-    measure "metrics"
-      ~pre:(fun () ->
-        Telemetry.reset ();
-        Telemetry.set_enabled true)
-      ~post:(fun () ->
-        match Bench_json.current_path () with
-        | None -> ()
-        | Some p ->
-          let mp = p ^ ".metrics.json" in
-          Telemetry.write_json ~path:mp;
-          pr "telemetry: metrics archived to %s@." mp)
-  in
-  let spans =
-    measure "metrics+spans"
-      ~pre:(fun () ->
-        Telemetry.reset ();
-        Telemetry.set_enabled true;
-        Telemetry.Span.start ())
-      ~post:(fun () ->
-        pr "telemetry: %d span events recorded@." (Telemetry.Span.count ());
-        Telemetry.Span.stop ())
-  in
-  Telemetry.set_enabled false;
-  let _, t_off = off in
-  pr "@.%-16s %12s %10s@." "mode" "ticks/s" "overhead";
-  List.iter
-    (fun (mode, per_tick) ->
-      pr "%-16s %12.1f %9.1f%%@." mode (1. /. per_tick) ((per_tick /. t_off -. 1.) *. 100.))
-    [ off; metrics; spans ]
-
-(* ------------------------------------------------------------------ *)
-(* Observability: flight recorder + live endpoint overhead.
-
-   Same workload as the telemetry bench, four passes: no observer (the
-   shipped default), the flight ring alone, ring + streaming dump sink
-   (flushed per tick), and ring + the HTTP server bound with a client
-   polling /metrics and /health throughout the run.  The off pass is the
-   baseline the obs-on numbers are judged against — it must match the
-   no-obs engine exactly (the observer hook is a single option check).
-   The obs-on passes pay one O(n) state digest per commit, which is the
-   dominant cost; ring append, sink flush and a polling client are noise
-   on top of it. *)
-
-let obs_bench () =
-  header "Observability - flight recorder and live endpoint overhead (indexed, 2000 units)";
-  let n = 2000 and density = 0.01 and ticks = 20 in
-  let measure mode ~(attach : Simulation.t -> unit -> unit) =
-    let scenario =
-      Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-    in
-    let sim = Battle.Scenario.simulation ~evaluator:Simulation.Indexed scenario in
-    Simulation.step sim;
-    let detach = attach sim in
-    let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-    detach ();
-    let r = Simulation.report sim in
-    let per_tick = seconds /. float_of_int ticks in
-    Bench_json.emit ~section:"obs"
-      ~config:[ ("mode", mode); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
-    (mode, per_tick)
-  in
-  let prog = Battle.Scripts.compile () in
-  let off = measure "off" ~attach:(fun _ () -> ()) in
-  let flight =
-    measure "flight" ~attach:(fun sim ->
-        let live = Obs.Live.create ~flight_capacity:1024 ~sim ~prog () in
-        fun () -> Obs.Live.stop live)
-  in
-  let sink =
-    measure "flight+sink" ~attach:(fun sim ->
-        let path = Filename.temp_file "sgl_bench_flight" ".dump" in
-        let live = Obs.Live.create ~flight_capacity:1024 ~dump_path:path ~sim ~prog () in
-        fun () ->
-          Obs.Live.stop live;
-          (try Sys.remove path with Sys_error _ -> ()))
-  in
-  let http =
-    measure "flight+http" ~attach:(fun sim ->
-        let live = Obs.Live.create ~flight_capacity:1024 ~sim ~prog () in
-        let port = Obs.Live.serve live ~port:0 in
-        let polling = Atomic.make true in
-        let get target =
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-              let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" target in
-              ignore (Unix.write_substring fd req 0 (String.length req));
-              let chunk = Bytes.create 4096 in
-              let rec drain () = if Unix.read fd chunk 0 4096 > 0 then drain () in
-              drain ())
-        in
-        let client =
-          Thread.create
-            (fun () ->
-              while Atomic.get polling do
-                (try
-                   get "/metrics";
-                   get "/health"
-                 with Unix.Unix_error _ -> ());
-                Thread.delay 0.005
-              done)
-            ()
-        in
-        fun () ->
-          Atomic.set polling false;
-          Thread.join client;
-          Obs.Live.stop live)
-  in
-  let _, t_off = off in
-  pr "@.%-16s %12s %10s@." "mode" "ticks/s" "overhead";
-  List.iter
-    (fun (mode, per_tick) ->
-      pr "%-16s %12.1f %9.1f%%@." mode (1. /. per_tick) ((per_tick /. t_off -. 1.) *. 100.))
-    [ off; flight; sink; http ]
 
 (* ------------------------------------------------------------------ *)
 (* Fused kernels: compiled decision execution vs interpreted plan walking.
@@ -1109,13 +901,12 @@ let fused_sim ~(index_cache : bool) ~(evaluator : Simulation.evaluator_kind) ~(n
 
 (* Decision-phase seconds per tick from the engine's phase timer, one
    warm-up tick outside the clock (compilation, kernel specialization). *)
-let fused_decision ~index_cache ~evaluator ~n ~ticks : float * Simulation.report =
+let fused_decision ~index_cache ~evaluator ~n ~ticks : float =
   let sim = fused_sim ~index_cache ~evaluator ~n () in
   Simulation.step sim;
   let before = (Simulation.report sim).Simulation.decision_s in
   Simulation.run sim ~ticks;
-  let r = Simulation.report sim in
-  ((r.Simulation.decision_s -. before) /. float_of_int ticks, r)
+  ((Simulation.report sim).Simulation.decision_s -. before) /. float_of_int ticks
 
 let fused_bench ~full () =
   header "Fused kernels - compiled decision execution vs interpreted plan walking";
@@ -1142,24 +933,7 @@ let fused_bench ~full () =
           let results =
             List.map
               (fun (name, evaluator) ->
-                let t, r = fused_decision ~index_cache ~evaluator ~n ~ticks in
-                Bench_json.emit ~section:"fused"
-                  ~config:
-                    [
-                      ("evaluator", name);
-                      ("units", string_of_int n);
-                      ("cache", if index_cache then "warm" else "cold");
-                    ]
-                  ~ticks_per_s:(1. /. t)
-                  ~phases:
-                    [
-                      ("decision_s", t);
-                      ("build_s", r.Simulation.build_s);
-                      ("post_s", r.Simulation.post_s);
-                      ("movement_s", r.Simulation.movement_s);
-                      ("death_s", r.Simulation.death_s);
-                    ];
-                (name, t))
+                (name, fused_decision ~index_cache ~evaluator ~n ~ticks))
               evaluators
           in
           pr "%8d %6s" n (if index_cache then "warm" else "cold");
@@ -1173,113 +947,65 @@ let fused_bench ~full () =
   pr " probes cost the same under every backend.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Durable state: checkpoint/journal overhead on the 12k-unit battle.
+(* Counts: the deterministic regression gate.
 
-   Baseline is the shipped default (persistence off).  The durable
-   passes pay one CRC-framed journal append (+ fsync unless disarmed)
-   per committed tick, plus a full-state snapshot every [every] ticks —
-   cadence 10 is checkpoint-heavy, cadence 100 isolates the journal
-   cost (only the arming snapshot lands inside the run).  Ambient
-   telemetry is enabled for every pass (same tax everywhere) so the
-   persist.* metrics carry checkpoint write times and journal volume. *)
+   Fixed-seed, fixed-tick twins of perfbench's three workloads (the paper
+   battle, the low-churn sentry, the expression-bound steering scenario),
+   run under every evaluator.  Each line carries only what is a pure
+   function of seed and tick count: the report's work counters, four
+   ambient-registry counters and the final state digest - no wall-clock
+   value - so the output is byte-identical on any machine.  bench/dune
+   diffs it against bench/counts.expected on every [dune runtest]: an
+   index rebuilt per probe, a cache forced cold or a kernel bypassed
+   shows up as a changed count.  The naive rows put the oracle's digest next to the others'; the
+   battle has none, as a naive 2000-unit battle costs seconds. *)
 
-let persist_bench () =
-  header "Durable state - checkpoint/journal overhead (indexed evaluator, 12000 units)";
-  let n = 12_000 and density = 0.01 and ticks = 40 in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  let fresh_dir tag =
-    let dir = Filename.concat (Filename.get_temp_dir_name ()) ("sgl-bench-persist-" ^ tag) in
-    rm_rf dir;
-    Sys.mkdir dir 0o755;
-    dir
-  in
-  let measure ~mode ~every ~fsync () =
-    Telemetry.reset ();
-    Telemetry.set_enabled true;
+let counts () =
+  let ticks = 20 in
+  let battle evaluator =
     let scenario =
-      Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
+      Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix 1000) ()
     in
-    let sim = Battle.Scenario.simulation ~evaluator:Simulation.Indexed scenario in
-    (* warm one tick outside the clock; the arming snapshot of the
-       durable passes stays outside it too *)
-    Simulation.step sim;
-    let dir = Option.map fresh_dir (if every >= 0 then Some mode else None) in
-    Option.iter (fun dir -> Simulation.checkpoint_every ~fsync sim ~dir ~every) dir;
-    let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-    Simulation.detach_persistence sim;
-    let counter name =
-      match List.assoc_opt name (Telemetry.counters ()) with
-      | Some v -> v
-      | None -> 0
-    in
-    let ckpt =
-      match List.assoc_opt "persist.checkpoint_ns" (Telemetry.histograms ()) with
-      | Some s -> s
-      | None ->
-        {
-          Telemetry.count = 0;
-          mean = 0.;
-          stddev = 0.;
-          min = 0.;
-          max = 0.;
-          total = 0.;
-          p50 = 0.;
-          p90 = 0.;
-          p99 = 0.;
-        }
-    in
-    let journal_bytes = counter "persist.journal_bytes" in
-    Telemetry.set_enabled false;
-    Option.iter rm_rf dir;
-    let per_tick = seconds /. float_of_int ticks in
-    Bench_json.emit ~section:"persist"
-      ~config:
-        [
-          ("mode", mode);
-          ("units", string_of_int n);
-          ("every", string_of_int every);
-          ("fsync", string_of_bool fsync);
-        ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("checkpoint_mean_s", ckpt.Telemetry.mean /. 1e9);
-          ("checkpoint_max_s", ckpt.Telemetry.max /. 1e9);
-          ("checkpoint_total_s", ckpt.Telemetry.total /. 1e9);
-          ("checkpoints", float_of_int ckpt.Telemetry.count);
-          ("journal_bytes_per_tick", float_of_int journal_bytes /. float_of_int ticks);
-        ];
-    (mode, per_tick, ckpt, journal_bytes)
+    Battle.Scenario.simulation ~seed:1 ~evaluator scenario
   in
-  (* every = -1 encodes "persistence off" (the baseline) *)
-  let rows =
+  let sentry evaluator = incremental_sim ~index_cache:true ~evaluator ~n:2000 ~churn:0.01 in
+  let steer evaluator = fused_sim ~index_cache:true ~evaluator ~n:500 () in
+  let fast = [ Simulation.Indexed; Simulation.Fused; Simulation.Parallel { domains = 2 } ] in
+  let workloads =
     [
-      measure ~mode:"off" ~every:(-1) ~fsync:false ();
-      measure ~mode:"every=10" ~every:10 ~fsync:true ();
-      measure ~mode:"every=100" ~every:100 ~fsync:true ();
-      measure ~mode:"every=10,nofsync" ~every:10 ~fsync:false ();
+      ("battle-2000", battle, fast);
+      ("sentry-2000", sentry, fast @ [ Simulation.Naive ]);
+      ("steer-500", steer, fast @ [ Simulation.Naive ]);
     ]
   in
-  let _, t_off, _, _ = List.hd rows in
-  pr "@.%-18s %10s %9s %7s %12s %12s@." "mode" "ticks/s" "overhead" "ckpts" "ckpt mean ms" "jrnl B/tick";
+  let registry =
+    [ "relalg.column_copies"; "persist.snapshot_cow_hits"; "fused.rows"; "combine.merge_ops" ]
+  in
+  header (Printf.sprintf "Counts - deterministic work per workload and evaluator (%d ticks)" ticks);
   List.iter
-    (fun (mode, per_tick, ckpt, journal_bytes) ->
-      pr "%-18s %10.1f %8.1f%% %7d %12.2f %12.0f@." mode (1. /. per_tick)
-        ((per_tick /. t_off -. 1.) *. 100.)
-        ckpt.Telemetry.count (ckpt.Telemetry.mean /. 1e6)
-        (float_of_int journal_bytes /. float_of_int ticks))
-    rows;
-  pr "@.(the journal append is tens of bytes per tick; the snapshot is@.";
-  pr " tens of milliseconds at this population and amortizes with the@.";
-  pr " cadence, so the durability tax stays in the single-digit percent@.";
-  pr " range - overhead spreads beyond that are run-to-run noise.)@."
+    (fun (workload, make, evaluators) ->
+      List.iter
+        (fun evaluator ->
+          Telemetry.reset ();
+          Telemetry.set_enabled true;
+          let sim = make evaluator in
+          Fun.protect
+            ~finally:(fun () -> Telemetry.set_enabled false)
+            (fun () -> Simulation.run sim ~ticks);
+          let r = Simulation.report sim in
+          let metrics = Telemetry.counters () in
+          pr "%s %s index_builds=%d index_reuses=%d index_probes=%d naive_scans=%d uniform_hits=%d \
+              deaths=%d resurrections=%d"
+            workload (Simulation.evaluator_name evaluator) r.Simulation.index_builds
+            r.Simulation.index_reuses r.Simulation.index_probes r.Simulation.naive_scans
+            r.Simulation.uniform_hits r.Simulation.deaths r.Simulation.resurrections;
+          List.iter
+            (fun name ->
+              pr " %s=%d" name (Option.value ~default:0 (List.assoc_opt name metrics)))
+            registry;
+          pr " digest=%08x@." (Simulation.state_digest sim))
+        evaluators)
+    workloads
 
 (* ------------------------------------------------------------------ *)
 (* Driver *)
@@ -1298,56 +1024,36 @@ let everything ~full () =
   incremental ~full ();
   fused_bench ~full ();
   faults_bench ();
-  telemetry_bench ();
-  obs_bench ();
-  persist_bench ();
   micro ()
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* [--json PATH] arms the machine-readable emitter and is stripped before
-     section dispatch, so it composes with any section list. *)
-  let rec extract_json acc = function
-    | "--json" :: path :: rest ->
-      Bench_json.set_path path;
-      List.rev_append acc rest
-    | [ "--json" ] ->
-      Fmt.epr "--json requires an output path@.";
-      exit 1
-    | x :: rest -> extract_json (x :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = extract_json [] args in
   pr "SGL benchmark harness - reproduction of White et al., SIGMOD 2007@.";
-  Fun.protect ~finally:Bench_json.write (fun () ->
-      match args with
-      | [] | [ "quick" ] -> everything ~full:false ()
-      | [ "full" ] -> everything ~full:true ()
-      | names ->
-        List.iter
-          (function
-            | "fig10" -> fig10 ~full:false ()
-            | "fig10-full" -> fig10 ~full:true ()
-            | "capacity" -> capacity ~full:false ()
-            | "density" -> density_sweep ()
-            | "ablate-divisible" -> ablate_divisible ()
-            | "ablate-sweep" -> ablate_sweep ()
-            | "ablate-nn" -> ablate_nn ()
-            | "ablate-combine" -> ablate_combine ()
-            | "ablate-share" -> ablate_share ()
-            | "phases" -> phases ()
-            | "parallel" -> parallel_scaling ~full:false ()
-            | "parallel-full" -> parallel_scaling ~full:true ()
-            | "incremental" -> incremental ~full:false ()
-            | "incremental-full" -> incremental ~full:true ()
-            | "fused" -> fused_bench ~full:false ()
-            | "fused-full" -> fused_bench ~full:true ()
-            | "faults" -> faults_bench ()
-            | "telemetry" -> telemetry_bench ()
-            | "obs" -> obs_bench ()
-            | "persist" -> persist_bench ()
-            | "micro" -> micro ()
-            | other ->
-              Fmt.epr "unknown benchmark %S@." other;
-              exit 1)
-          names)
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "quick" ] -> everything ~full:false ()
+  | [ "full" ] -> everything ~full:true ()
+  | names ->
+    List.iter
+      (function
+        | "fig10" -> fig10 ~full:false ()
+        | "fig10-full" -> fig10 ~full:true ()
+        | "capacity" -> capacity ~full:false ()
+        | "density" -> density_sweep ()
+        | "ablate-divisible" -> ablate_divisible ()
+        | "ablate-sweep" -> ablate_sweep ()
+        | "ablate-nn" -> ablate_nn ()
+        | "ablate-combine" -> ablate_combine ()
+        | "ablate-share" -> ablate_share ()
+        | "phases" -> phases ()
+        | "parallel" -> parallel_scaling ~full:false ()
+        | "parallel-full" -> parallel_scaling ~full:true ()
+        | "incremental" -> incremental ~full:false ()
+        | "incremental-full" -> incremental ~full:true ()
+        | "fused" -> fused_bench ~full:false ()
+        | "fused-full" -> fused_bench ~full:true ()
+        | "faults" -> faults_bench ()
+        | "micro" -> micro ()
+        | "counts" -> counts ()
+        | other ->
+          Fmt.epr "unknown benchmark %S@." other;
+          exit 1)
+      names

@@ -36,8 +36,9 @@ esac
 ARGS="--units $UNITS --ticks $TICKS $EVAL_ARGS --fault-policy $POLICY --seed 7 --checkpoint-every $EVERY"
 echo "crash-recovery: evaluator $EVALUATOR, fault policy $POLICY"
 
+# Always rebuild: a no-op when the binary is fresh, and never a stale run.
+dune build bin/battle_sim.exe
 SIM="_build/default/bin/battle_sim.exe"
-[ -x "$SIM" ] || dune build bin/battle_sim.exe
 
 rm -rf "$DIR" crash-flight.dump
 

@@ -19,8 +19,9 @@ TICKS=30
 ARGS="--units $UNITS --ticks $TICKS --evaluator indexed --seed 13"
 BASE="http://127.0.0.1:$PORT"
 
+# Always rebuild: a no-op when the binary is fresh, and never a stale run.
+dune build bin/battle_sim.exe
 SIM="_build/default/bin/battle_sim.exe"
-[ -x "$SIM" ] || dune build bin/battle_sim.exe
 
 rm -f obs-smoke-flight.dump
 

@@ -15,8 +15,9 @@ BOUND="${1:-600}"
 UNITS=100000
 TICKS=5
 
+# Always rebuild: a no-op when the binary is fresh, and never a stale run.
+dune build bin/battle_sim.exe
 SIM="_build/default/bin/battle_sim.exe"
-[ -x "$SIM" ] || dune build bin/battle_sim.exe
 
 echo "perf-sanity: $UNITS units, $TICKS ticks, indexed, bound ${BOUND}s"
 start=$(date +%s)
